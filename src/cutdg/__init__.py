@@ -7,7 +7,6 @@ from .mesh import (
     MeshError,
     build_cut_cell_mesh,
     evenly_spaced_cuts,
-    small_cells,
 )
 from .dg_space import (
     DGSpace,
@@ -21,11 +20,7 @@ from .dg_space import (
 from .operators import (
     OperatorSet,
     operator_pair,
-    assemble_background,
-    assemble_dod_flux,
-    assemble_dod_volume,
     assemble_stabilized,
-    assemble_mass,
     mass_diagonal,
     split_dissipation,
     symmetrize_upwind_pair,

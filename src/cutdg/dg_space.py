@@ -114,17 +114,6 @@ class DGSpace:
         """Values of cell i's basis at physical points x (shape (nx, p+1))."""
         return self.basis_at_ref(self.to_reference(i, x))
 
-    def basis_deriv_at(self, i, x, ref=None):
-        """x-derivatives of cell i's basis at physical points x.
-
-        Pass exact reference coordinates via ``ref`` to avoid the precision
-        loss of the physical-to-reference map on very small cells.
-        """
-        h = self.mesh.cell_sizes[i % self.mesh.n_cells]
-        vals = self.basis_at_ref(ref) if ref is not None else self.basis_at(i, x)
-        # basis_j' is degree p-1, so interpolating its nodal values is exact
-        return vals @ self.ref_diff * (2.0 / h)
-
     def cell_weights(self, i):
         """Physical quadrature weights of cell i (the diagonal mass block)."""
         h = self.mesh.cell_sizes[i % self.mesh.n_cells]

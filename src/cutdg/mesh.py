@@ -116,12 +116,6 @@ def build_cut_cell_mesh(domain_left, domain_right, n_background, cuts=()):
     )
 
 
-def small_cells(mesh: CutCellMesh):
-    """Indices of all cells with size strictly below dx/2, sorted."""
-    thr = SMALL_CELL_FACTOR * mesh.background_dx
-    return sorted(int(k) for k in np.nonzero(mesh.cell_sizes < thr)[0])
-
-
 def evenly_spaced_cuts(n_background, alphas, side="left"):
     """Place one cut per alpha at evenly spaced background indices."""
     alphas = list(alphas)

@@ -2,10 +2,13 @@
 
 All bilinear forms are assembled in the convention form(u, w) = w^T M D u;
 the helpers below build the matrix B = M D and return D = M^{-1} B (M is
-diagonal for the nodal Gauss-Legendre basis).
+diagonal for the nodal Gauss-Legendre basis). The forms are local: each
+interface adds four (p+1) x (p+1) blocks coupling its two cells, and each
+small cell's correction couples the cell and its two neighbors.
 
 The stabilized operators come in two flavors:
-  * "naive": background + small-cell correction terms, directly as defined.
+  * "naive" (assemble_stabilized): background + small-cell correction
+    terms, directly as defined.
     With central fluxes this is already skew-symmetric under M; the upwind
     pair is generally not dual for p >= 1.
   * "symmetrized": central part plus the M-symmetrized half of the
@@ -61,56 +64,49 @@ def mass_diagonal(space: DGSpace):
     return diag
 
 
-def assemble_mass(space: DGSpace):
-    """Global mass matrix (diagonal with the nodal Gauss-Legendre basis)."""
-    return np.diag(mass_diagonal(space))
+def _ref_traces(space):
+    """Reference basis values at the cell ends: rows for -1 and +1.
+
+    Evaluated at the exact reference coordinates; mapping a physical vertex
+    back to reference would lose precision on very small cells.
+    """
+    return space.basis_at_ref([-1.0, 1.0])
 
 
-def _interface_trace(space, i, x):
-    """Row vector over global dofs: cell i's polynomial evaluated at x.
+def _extended_basis(space, j, x):
+    """Cell j's basis, extended beyond the cell, at physical points x.
 
-    The point is shifted into the periodic chart nearest cell i, so
+    The points are shifted into the periodic chart nearest cell j, so
     wrap-around stencils evaluate the correct periodic image.
     """
-    row = np.zeros(space.n_dofs)
-    row[space.dofs(i)] = space.basis_at(i, space.wrap_near(i, x))[0]
-    return row
+    return space.basis_at(j, space.wrap_near(j, x))
 
 
-def _own_trace(space, i, end):
-    """Trace of cell i at its own endpoint (end = -1 left, +1 right).
-
-    Evaluated at the exact reference coordinate; mapping the physical
-    vertex back to reference would lose precision on very small cells.
-    """
-    row = np.zeros(space.n_dofs)
-    row[space.dofs(i)] = space.basis_at_ref(float(end))[0]
-    return row
-
-
-def _jump_row(space, i):
-    """Test-function jump [[w]] at interface i+1/2 as a global row vector."""
-    n = space.mesh.n_cells
-    return _own_trace(space, i % n, +1) - _own_trace(space, (i + 1) % n, -1)
+def _add_outer(B, space, rows, cols, scale=1.0):
+    """B += scale * outer(row, col) for a row and a column that are nonzero
+    on a few cells only, each given as (cell, block vector) pairs."""
+    for i, r in rows:
+        for j, c in cols:
+            B[space.dofs(i), space.dofs(j)] += scale * np.outer(r, c)
 
 
 def assemble_background_mform(space: DGSpace, kind):
     """B = M D for the background DG derivative with flux `kind`."""
     ha, hb = _flux_coeffs(kind)
     n = space.mesh.n_cells
-    nd = space.n_dofs
-    B = np.zeros((nd, nd))
+    left, right = _ref_traces(space)
+    B = np.zeros((space.n_dofs, space.n_dofs))
     # volume term: -int_E u dx(w); with the collocation basis the block is
     # -(diag(w_ref) @ D_ref)^T independent of the cell size
     vol = -(np.diag(space.ref_weights) @ space.ref_diff).T
     for i in range(n):
-        s = space.dofs(i)
-        B[s, s] += vol
-    # interface terms: H(u_i, u_{i+1}) [[w]]
+        B[space.dofs(i), space.dofs(i)] += vol
+    # interface terms H(u_i, u_{i+1}) [[w]] at x_{i+1/2}, with the test
+    # jump [[w]] = w_i(x^-) - w_{i+1}(x^+)
     for i in range(n):
-        flux = ha * _own_trace(space, i, +1) + hb * _own_trace(space, (i + 1) % n, -1)
-        jump = _jump_row(space, i)
-        B += np.outer(jump, flux)
+        ip = (i + 1) % n
+        _add_outer(B, space, [(i, right), (ip, -left)],
+                   [(i, ha * right), (ip, hb * left)])
     return B
 
 
@@ -128,17 +124,19 @@ def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
     ha, hb = _flux_coeffs(kind)
     n = mesh.n_cells
     cm, cp = (c - 1) % n, (c + 1) % n
-    x_left = mesh.vertices[c]
-    x_right = mesh.vertices[c + 1]
+    left, right = _ref_traces(space)
+    # u_{c+1} extended to the left end of E_c, u_{c-1} to its right end
+    ext_p = _extended_basis(space, cp, mesh.vertices[c])[0]
+    ext_m = _extended_basis(space, cm, mesh.vertices[c + 1])[0]
 
     B = np.zeros((space.n_dofs, space.n_dofs))
     # interface c-1/2: H(u_{c-1}, u_{c+1}) - H(u_{c-1}, u_c); the u_{c-1}
     # contributions cancel, leaving the b-slot difference
-    flux_l = hb * (_interface_trace(space, cp, x_left) - _own_trace(space, c, -1))
-    B += eta_c * np.outer(_jump_row(space, c - 1), flux_l)
+    _add_outer(B, space, [(cm, right), (c, -left)],
+               [(c, hb * -left), (cp, hb * ext_p)], eta_c)
     # interface c+1/2: H(u_{c-1}, u_{c+1}) - H(u_c, u_{c+1})
-    flux_r = ha * (_interface_trace(space, cm, x_right) - _own_trace(space, c, +1))
-    B += eta_c * np.outer(_jump_row(space, c), flux_r)
+    _add_outer(B, space, [(c, right), (cp, -left)],
+               [(cm, ha * ext_m), (c, ha * -right)], eta_c)
     return B
 
 
@@ -157,73 +155,32 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
         raise ValueError(f"cell {c} is not a small cell")
     if abs(L_c + R_c - 1.0) > 1e-14:
         raise ValueError(f"volume weights must satisfy L_c + R_c = 1, got {L_c + R_c}")
-    nd = space.n_dofs
-    B = np.zeros((nd, nd))
+    B = np.zeros((space.n_dofs, space.n_dofs))
     if space.degree == 0 or eta_c == 0.0:
         return B  # test derivatives vanish / no stabilization
 
     ha, hb = _flux_coeffs(kind)
     n = mesh.n_cells
-    cells = [(c - 1) % n, c, (c + 1) % n]
-    K = [L_c, -1.0, R_c]
-    xq = space.nodes[c]  # quadrature points inside E_c
+    cells = ((c - 1) % n, c, (c + 1) % n)
+    K = (L_c, -1.0, R_c)
+    slot = (ha, 0.0, hb)  # weight of each cell's u in H(u_{c-1}, u_{c+1})
     wq = space.cell_weights(c)
-    # values/derivatives of each neighbor's (extended) basis at xq, in the
-    # periodic chart nearest the respective neighbor; the small cell's own
-    # basis is evaluated at its exact reference nodes (collocation identity)
-    E, G = [], []
-    for loc, j in enumerate(cells):
-        if loc == 1:
-            E.append(np.eye(space.nodes_per_cell))
-            G.append(space.basis_deriv_at(j, None, ref=space.ref_nodes))
-        else:
-            xj = space.wrap_near(j, xq)
-            E.append(space.basis_at(j, xj))
-            G.append(space.basis_deriv_at(j, xj))
-
-    npc = space.nodes_per_cell
-    Bloc = np.zeros((3 * npc, 3 * npc))
-
-    def block(a):
-        return slice(a * npc, (a + 1) * npc)
-
-    # trial-side flux H(u_{c-1}, u_{c+1}) over the local dof set
-    Hmat = np.zeros((len(xq), 3 * npc))
-    Hmat[:, block(0)] = ha * E[0]
-    Hmat[:, block(2)] = hb * E[2]
-
-    for jloc in range(3):
-        Uj = np.zeros((len(xq), 3 * npc))
-        Uj[:, block(jloc)] = E[jloc]
-        GW_j = G[jloc].T * wq
-        Bloc[block(jloc), :] += K[jloc] * (GW_j @ (Hmat - Uj))
-        Bloc[block(0), :] += K[jloc] * ha * ((G[0].T * wq) @ Uj)
-        Bloc[block(2), :] += K[jloc] * hb * ((G[2].T * wq) @ Uj)
-
-    Bloc *= eta_c
-    for a, ja in enumerate(cells):
-        for b, jb in enumerate(cells):
-            B[space.dofs(ja), space.dofs(jb)] += Bloc[block(a), block(b)]
+    # basis values of each cell at the quadrature points of E_c; the small
+    # cell's own basis is the identity at its nodes (collocation)
+    E = [np.eye(space.nodes_per_cell) if j == c
+         else _extended_basis(space, j, space.nodes[c]) for j in cells]
+    # weighted test derivatives dx(w_j)^T diag(wq); dx(w_j) has degree p-1,
+    # so interpolating its nodal values is exact
+    GW = [(e @ space.ref_diff * (2.0 / mesh.cell_sizes[j])).T * wq
+          for e, j in zip(E, cells)]
+    # block (a, b): K_a (H - u_a) dx(w_a) from the sum's term j = a, plus
+    # K_b slot_a u_b dx(w_a) from its term j = b
+    for a in range(3):
+        for b in range(3):
+            trial = slot[b] * E[b] - E[b] if a == b else slot[b] * E[b]
+            B[space.dofs(cells[a]), space.dofs(cells[b])] += eta_c * (
+                K[a] * (GW[a] @ trial) + K[b] * slot[a] * (GW[a] @ E[b]))
     return B
-
-
-def _to_derivative(space, B):
-    """Convert B = M D into D (diagonal M)."""
-    return B / mass_diagonal(space)[:, None]
-
-
-def assemble_background(space, kind):
-    return _to_derivative(space, assemble_background_mform(space, kind))
-
-
-def assemble_dod_flux(space, c, kind, eta_c):
-    return _to_derivative(space, assemble_dod_flux_mform(space, c, kind, eta_c))
-
-
-def assemble_dod_volume(space, c, kind, eta_c, L_c=0.5, R_c=0.5):
-    return _to_derivative(
-        space, assemble_dod_volume_mform(space, c, kind, eta_c, L_c, R_c)
-    )
 
 
 def _volume_weights(kind, lr_policy):
@@ -249,7 +206,7 @@ def assemble_stabilized(space, kind, eta, lr_policy="half"):
     for c in space.mesh.small_cells:
         B += assemble_dod_flux_mform(space, c, kind, eta[c])
         B += assemble_dod_volume_mform(space, c, kind, eta[c], L, R)
-    return _to_derivative(space, B)
+    return B / mass_diagonal(space)[:, None]
 
 
 def split_dissipation(d_naive_plus, d_naive_minus, d_central=None, mass_diag=None,
@@ -317,9 +274,6 @@ class OperatorSet:
     space: DGSpace
     mass_diag: np.ndarray
     Dz: np.ndarray
-    Dp_naive: np.ndarray
-    Dm_naive: np.ndarray
-    Ddiss: np.ndarray
     Dp_symm: np.ndarray
     Dm_symm: np.ndarray
     eta: dict
@@ -328,16 +282,12 @@ class OperatorSet:
     d_gt: np.ndarray
 
     @property
-    def M(self):
-        return np.diag(self.mass_diag)
-
-    @property
     def d_diff(self):
         """D^+ - D^- of the symmetrized pair (drives the drift term)."""
         return self.Dp_symm - self.Dm_symm
 
 
-def operator_pair(space, pairing, eta=None, lr_policy="half"):
+def operator_pair(space, pairing, eta=None):
     """Assemble everything and select the (D^rho, D^gt) pair.
 
     For p = 0 the classic (un-symmetrized) DoD pair already has the upwind
@@ -349,20 +299,14 @@ def operator_pair(space, pairing, eta=None, lr_policy="half"):
     if eta is None:
         eta = default_eta(space)
     mdiag = mass_diagonal(space)
-    dz = assemble_stabilized(space, CENTRAL, eta, lr_policy="half")
-    dp_naive = assemble_stabilized(space, DOWNWIND, eta, lr_policy="half")
-    dm_naive = assemble_stabilized(space, UPWIND, eta, lr_policy="half")
-    ddiss = split_dissipation(dp_naive, dm_naive, dz, mass_diag=mdiag)
+    dz = assemble_stabilized(space, CENTRAL, eta)
+    dp = assemble_stabilized(space, DOWNWIND, eta)
+    dm = assemble_stabilized(space, UPWIND, eta)
+    ddiss = split_dissipation(dp, dm, dz, mass_diag=mdiag)
     if space.degree == 0:
-        dp_symm, dm_symm = dp_naive, dm_naive
+        dp_symm, dm_symm = dp, dm
     else:
         dp_symm, dm_symm = symmetrize_upwind_pair(dz, ddiss, mdiag)
-    if lr_policy == "flow":
-        # diagnostic path: replace the naive pair by flow-based volume weights
-        dp_naive = assemble_stabilized(space, DOWNWIND, eta, lr_policy="flow")
-        dm_naive = assemble_stabilized(space, UPWIND, eta, lr_policy="flow")
-        if space.degree == 0:
-            dp_symm, dm_symm = dp_naive, dm_naive
 
     if pairing == "mp":
         d_rho, d_gt = dm_symm, dp_symm
@@ -375,9 +319,6 @@ def operator_pair(space, pairing, eta=None, lr_policy="half"):
         space=space,
         mass_diag=mdiag,
         Dz=dz,
-        Dp_naive=dp_naive,
-        Dm_naive=dm_naive,
-        Ddiss=ddiss,
         Dp_symm=dp_symm,
         Dm_symm=dm_symm,
         eta=dict(eta),
@@ -385,8 +326,3 @@ def operator_pair(space, pairing, eta=None, lr_policy="half"):
         d_rho=d_rho,
         d_gt=d_gt,
     )
-
-
-def dump_operator_csv(matrix, path):
-    """Write a dense operator as CSV, row-major, 17 significant digits."""
-    np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.17g")

@@ -164,14 +164,13 @@ def check_p0_closed_form(space, alpha, eta_c):
 
 def sbp_report(opset: OperatorSet, eps=1.0, trials=200, rng_seed=0) -> SBPReport:
     """Run all structure checks on an assembled operator set."""
+    duality, dissipation = check_upwind_sbp(
+        opset.mass_diag, opset.Dp_symm, opset.Dm_symm
+    )
     return SBPReport(
         skew_residual=check_periodic_sbp(opset.mass_diag, opset.Dz),
-        duality_residual=check_upwind_sbp(
-            opset.mass_diag, opset.Dp_symm, opset.Dm_symm
-        )[0],
-        max_dissipation_eigenvalue=check_upwind_sbp(
-            opset.mass_diag, opset.Dp_symm, opset.Dm_symm
-        )[1],
+        duality_residual=duality,
+        max_dissipation_eigenvalue=dissipation,
         energy_derivative_bound=check_energy_decay(
             opset, eps, trials=trials, rng_seed=rng_seed
         ),

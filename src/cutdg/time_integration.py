@@ -80,7 +80,7 @@ def _tab(rows, s):
 
 
 def builtin_tableau(name: str) -> IMEXTableau:
-    """Builtin tableaux: third-order ARS(4,4,3) and SSP2(3,2,2)."""
+    """Builtin tableaux: third-order ARS(4,4,3) and SSP2(3,3,2)."""
     if name == "ARS443":
         s = 5
         a_expl = _tab(

@@ -23,7 +23,7 @@ from cutdg.experiments import (
     telegraph_step_matrix,
     weighted_condition_number,
 )
-from cutdg import cli
+from cutdg import cli, experiments
 
 
 def test_result_table_add_and_column():
@@ -115,6 +115,12 @@ def test_propagate_matches_step_loop_including_remainder():
     assert np.allclose(got, want, atol=1e-14)
 
 
+def test_propagate_raises_on_non_finite_state():
+    # 2000 steps of 2 I overflow: 2**2000 exceeds the largest double
+    with pytest.raises(FloatingPointError, match="not finite"):
+        propagate(lambda h: 2.0 * np.eye(2), np.ones(2), 2000.0, 1.0)
+
+
 def test_linear_step_matrix_is_the_identity_image():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(linear_step_matrix(lambda u: A @ u, 2), A)
@@ -140,6 +146,14 @@ def test_run_convergence_orders_and_columns():
     assert len(rows) == 2
     assert rows[0]["status"] == rows[1]["status"] == "ok"
     assert rows[1]["eoc_rho"] > 1.5  # p=1 once the mesh pair resolves it
+
+
+def test_run_convergence_reports_over_cfl_run_as_unstable(monkeypatch):
+    # 20x the hyperbolic CFL pre-factor of p = 1
+    monkeypatch.setattr(experiments, "C_PRE", {1: 20 * experiments.C_PRE[1]})
+    table = run_convergence(small_config(cells=(16,), t_final=50.0))
+    (row,) = table.rows
+    assert row["status"] == "unstable"
 
 
 def test_run_convergence_heat_variant():

@@ -6,7 +6,6 @@ from cutdg.mesh import (
     MeshError,
     build_cut_cell_mesh,
     evenly_spaced_cuts,
-    small_cells,
 )
 
 
@@ -41,7 +40,7 @@ def test_multiple_cuts_offset_indices():
     # each cut inserts one vertex, shifting later cell indices by one
     mesh = build_cut_cell_mesh(0.0, 16.0, 16, [(2, 0.1, "left"), (8, 0.2, "left")])
     assert mesh.n_cells == 18
-    assert small_cells(mesh) == [2, 9]
+    assert mesh.small_cells == (2, 9)
     assert mesh.cell_sizes[2] == pytest.approx(0.1)
     assert mesh.cell_sizes[9] == pytest.approx(0.2)
 
@@ -84,7 +83,7 @@ def test_half_cut_produces_no_small_cells():
     # an exact half cell needs no stabilization, so alpha = 1/2 is a plain
     # refinement rather than a small-cell configuration
     mesh = build_cut_cell_mesh(0.0, 8.0, 8, [(2, 0.5, "left")])
-    assert small_cells(mesh) == []
+    assert mesh.small_cells == ()
 
 
 def test_evenly_spaced_cuts_layout():
