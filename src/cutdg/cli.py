@@ -23,6 +23,15 @@ from .experiments import (
 from .sbp_verify import ENERGY_TOL
 
 
+def _non_negative_time(text):
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite time >= 0, got {text!r}"
+        )
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="cutdg",
@@ -41,7 +50,7 @@ def _parser():
                        help="background cell count (repeatable)")
         s.add_argument("--alphas", type=float, nargs="+", default=None,
                        help="cut fractions")
-        s.add_argument("--tfinal", type=float, default=None)
+        s.add_argument("--tfinal", type=_non_negative_time, default=None)
         s.add_argument("--tableau", choices=("ARS443", "SSP2-332"),
                        action="append", default=None)
         s.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,11 @@
 """Experiment runners: convergence, asymptotics, conditioning, implicit heat.
 
 Each runner consumes an ExperimentConfig and emits a ResultTable. All
-steppers used here are linear in the state, so long integrations assemble
-the one-step matrix once (one batched stepper call over identity columns)
-and propagate with a logarithmic number of matrix products.
+steppers used here are linear in the state, so every integration assembles
+its one-step matrix once (one batched stepper call over identity columns).
+The telegraph and explicit-heat integrations then propagate with a
+logarithmic number of matrix products; the implicit-heat study records
+every step, so it takes one step-matrix product per step.
 """
 
 import json
@@ -137,13 +139,25 @@ def linear_step_matrix(apply_step, n):
     return apply_step(np.eye(n))
 
 
+def _check_time_span(t_final, dt=None):
+    """Reject a final time that is negative or not finite, and a step that
+    is not positive: matrix_power would invert the step matrix for a
+    negative step count and integrate backwards."""
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    if dt is not None and not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+
+
 def propagate(step_matrix_of_dt, state, t_final, dt):
     """Advance a stacked state vector to t_final with fixed steps.
 
     step_matrix_of_dt(dt) must return the one-step matrix; a shorter final
     step closes any remainder so the output is exactly at t_final. Raises
-    FloatingPointError if the result is not finite (an unstable step).
+    ValueError for t_final < 0 or dt <= 0, and FloatingPointError if the
+    result is not finite (an unstable step).
     """
+    _check_time_span(t_final, dt)
     n_full = int(np.floor(t_final / dt + 1e-12))
     rem = t_final - n_full * dt
     out = np.linalg.matrix_power(step_matrix_of_dt(dt), n_full) @ state
@@ -345,8 +359,33 @@ def condition_sensitivity(config: ExperimentConfig, p, pairing, variant,
     ]
 
 
+def _heat_operator(n_bg, p, pairing, variant, alphas):
+    """Space, heat operator L and mass diagonal of one implicit-heat
+    variant; the OperatorSet is dropped here, so only L outlives the call."""
+    mesh = build_cut_cell_mesh(*DOMAIN, n_bg, evenly_spaced_cuts(n_bg, alphas))
+    space = build_space(mesh, p)
+    eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
+    ops = operator_pair(space, pairing, eta=eta)
+    return space, heat_system(ops).L, ops.mass_diag
+
+
+def _midpoint_step_matrix(L, dt):
+    """(I - dt/2 L)^-1 (I + dt/2 L): one LU solve with n right-hand sides."""
+    lu = factor_implicit(L, dt, theta=0.5)
+    return linear_step_matrix(
+        lambda u: implicit_midpoint_heat_step(L, u, dt, lu=lu), L.shape[0]
+    )
+
+
 def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
-    """Implicit midpoint integration of the heat semidiscretization."""
+    """Implicit midpoint integration of the heat semidiscretization.
+
+    Every step is recorded, so each variant builds its one-step matrix once
+    and takes one matrix-vector product per full step; a shorter closing
+    step lands exactly on t_final. metadata["steps"] holds dt and the
+    number of steps taken per variant.
+    """
+    _check_time_span(config.t_final)
     table = ResultTable(
         columns=("variant", "t", "max_abs_rho", "norm_rho", "status"),
         metadata=_metadata(config),
@@ -357,29 +396,22 @@ def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
     blow_up = 1e6
     for variant in ("background", "unstabilized", "dod"):
         alphas = () if variant == "background" else config.alphas
-        cuts = evenly_spaced_cuts(n_bg, alphas)
-        mesh = build_cut_cell_mesh(*DOMAIN, n_bg, cuts)
-        space = build_space(mesh, p)
-        eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
-        ops = operator_pair(space, pairing, eta=eta)
-        dx = mesh.background_dx
-        dt = dx / (10.0 * (2 * p + 1))
-        L = heat_system(ops).L
-        lu = factor_implicit(L, dt, theta=0.5)
+        space, L, mass_diag = _heat_operator(n_bg, p, pairing, variant, alphas)
+        dt = space.mesh.background_dx / (10.0 * (2 * p + 1))
+        S = _midpoint_step_matrix(L, dt)
         rho = project(space, np.cos)
         t = 0.0
+        n_steps = 0
         status = "ok"
         table.add(variant=variant, t=t, max_abs_rho=float(np.max(np.abs(rho))),
-                  norm_rho=l2_norm_of_vector(space, rho, ops.mass_diag),
+                  norm_rho=l2_norm_of_vector(space, rho, mass_diag),
                   status=status)
         while t < config.t_final - 1e-12:
             h = min(dt, config.t_final - t)
-            if h < dt:
-                rho = implicit_midpoint_heat_step(L, rho, h)
-            else:
-                rho = implicit_midpoint_heat_step(L, rho, dt, lu=lu)
+            rho = S @ rho if h == dt else implicit_midpoint_heat_step(L, rho, h)
             t += h
-            norm = l2_norm_of_vector(space, rho, ops.mass_diag)
+            n_steps += 1
+            norm = l2_norm_of_vector(space, rho, mass_diag)
             if not np.isfinite(norm) or norm > blow_up:
                 status = "overflow"
             table.add(variant=variant, t=t,
@@ -387,10 +419,15 @@ def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
                       norm_rho=norm, status=status)
             if status == "overflow":
                 break
+        table.metadata.setdefault("steps", {})[variant] = {
+            "dt": dt, "n_steps": n_steps,
+        }
         table.metadata.setdefault("final_profiles", {})[variant] = {
             "x": space.nodes.reshape(-1).tolist(),
             "rho": np.asarray(rho).tolist(),
         }
+        # free this variant's matrices before the next one is assembled
+        del S, L
     return table
 
 

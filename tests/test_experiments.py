@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from cutdg.mesh import build_cut_cell_mesh
-from cutdg.dg_space import build_space
+from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
+from cutdg.dg_space import build_space, l2_norm_of_vector, project
 from cutdg.operators import operator_pair
-from cutdg.models import telegraph_system
-from cutdg.time_integration import builtin_tableau, stable_ars_step
+from cutdg.models import heat_system, telegraph_system
+from cutdg.time_integration import (
+    builtin_tableau,
+    factor_implicit,
+    implicit_midpoint_heat_step,
+    stable_ars_step,
+)
 from cutdg.experiments import (
+    DOMAIN,
     ExperimentConfig,
     ResultTable,
     condition_sensitivity,
@@ -121,6 +127,19 @@ def test_propagate_raises_on_non_finite_state():
         propagate(lambda h: 2.0 * np.eye(2), np.ones(2), 2000.0, 1.0)
 
 
+@pytest.mark.parametrize("t_final, dt", [(-0.1, 0.03), (float("nan"), 0.03),
+                                         (0.1, 0.0), (0.1, -0.03)])
+def test_propagate_rejects_negative_time_and_non_positive_step(t_final, dt):
+    # a negative step count would make matrix_power invert the step matrix
+    with pytest.raises(ValueError, match="t_final|dt"):
+        propagate(lambda h: 0.5 * np.eye(2), np.ones(2), t_final, dt)
+
+
+def test_propagate_zero_time_returns_the_state():
+    v0 = np.array([1.0, 2.0])
+    assert np.array_equal(propagate(lambda h: 0.5 * np.eye(2), v0, 0.0, 0.1), v0)
+
+
 def test_linear_step_matrix_is_the_identity_image():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(linear_step_matrix(lambda u: A @ u, 2), A)
@@ -199,6 +218,55 @@ def test_run_heat_implicit_profiles_and_decay():
     assert set(table.metadata["final_profiles"]) == variants
 
 
+def test_run_heat_implicit_matches_lu_step_loop():
+    cfg = small_config(degrees=(1,), cells=(16,), alphas=(1e-3,), t_final=1.0)
+    table = run_heat_implicit(cfg)
+    # rtol per variant: the step-matrix product and the LU solve round
+    # differently, and the unstabilized operator amplifies that roundoff
+    rtol = {"background": 1e-10, "unstabilized": 1e-3, "dod": 1e-10}
+    for variant, tol in rtol.items():
+        alphas = () if variant == "background" else cfg.alphas
+        mesh = build_cut_cell_mesh(*DOMAIN, 16, evenly_spaced_cuts(16, alphas))
+        space = build_space(mesh, 1)
+        eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
+        ops = operator_pair(space, "mp", eta=eta)
+        L = heat_system(ops).L
+        dt = mesh.background_dx / 30.0
+        lu = factor_implicit(L, dt, theta=0.5)
+        rho = project(space, np.cos)
+        t = 0.0
+        want = [(t, np.max(np.abs(rho)), l2_norm_of_vector(space, rho, ops.mass_diag))]
+        while t < cfg.t_final - 1e-12:
+            h = min(dt, cfg.t_final - t)
+            rho = implicit_midpoint_heat_step(L, rho, h, lu=lu if h == dt else None)
+            t += h
+            want.append((t, np.max(np.abs(rho)),
+                         l2_norm_of_vector(space, rho, ops.mass_diag)))
+        got = [r for r in table.rows if r["variant"] == variant]
+        assert len(got) == len(want)
+        assert [r["t"] for r in got] == [w[0] for w in want]
+        for col, k in (("max_abs_rho", 1), ("norm_rho", 2)):
+            np.testing.assert_allclose([r[col] for r in got],
+                                       [w[k] for w in want], rtol=tol, atol=0)
+
+
+@pytest.mark.parametrize("t_final", [0.0, 0.25, 1.0])
+def test_run_heat_implicit_records_steps_per_variant(t_final):
+    cfg = small_config(degrees=(1,), cells=(16,), alphas=(1e-3,), t_final=t_final)
+    table = run_heat_implicit(cfg)
+    steps = table.metadata["steps"]
+    assert set(steps) == {"background", "unstabilized", "dod"}
+    for variant, rec in steps.items():
+        rows = [r for r in table.rows if r["variant"] == variant]
+        assert rec["n_steps"] == len(rows) - 1
+        assert rec["dt"] == pytest.approx(2 * np.pi / 16 / 30)
+
+
+def test_run_heat_implicit_rejects_negative_t_final():
+    with pytest.raises(ValueError, match="t_final"):
+        run_heat_implicit(small_config(degrees=(1,), cells=(16,), t_final=-1.0))
+
+
 def test_run_sbp_report_grid():
     cfg = small_config(degrees=(0, 1), cells=(8,), alphas=(1e-3, 0.3))
     table = run_sbp_report(cfg)
@@ -242,6 +310,14 @@ def test_cli_convergence_small_case(capsys):
                    "--cells", "32", "--epsilon", "1e-1",
                    "--alphas", "0.3", "--tfinal", "0.1"])
     assert rc == 0
+
+
+def test_cli_rejects_negative_tfinal(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convergence", "--p", "1", "--cells", "16", "--cells", "32",
+                  "--epsilon", "1e-1", "--alphas", "0.3", "--tfinal", "-0.1"])
+    assert exc.value.code == 2
+    assert "--tfinal: must be a finite time >= 0" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand():
