@@ -176,7 +176,10 @@ _RUNNERS = {
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "convergence" and args.cells and len(args.cells) < 2:
+        parser.error("convergence: an order needs at least two --cells values")
     config = _config(args)
     runner, checker = _RUNNERS[args.command]
     table = runner(config)

@@ -3,9 +3,12 @@
 Each runner consumes an ExperimentConfig and emits a ResultTable. All
 steppers used here are linear in the state, so every integration assembles
 its one-step matrix once (one batched stepper call over identity columns).
-The telegraph and explicit-heat integrations then propagate with a
-logarithmic number of matrix products; the implicit-heat study records
-every step, so it takes one step-matrix product per step.
+The telegraph and explicit-heat integrations then propagate by binary
+powering: the step matrix is squared floor(log2 n) times, each set bit's
+power is applied to the state as a matrix-vector product, and a shorter
+closing step is applied to the state by the stepper itself. The
+implicit-heat study records every step, so it takes one step-matrix
+product per step.
 """
 
 import json
@@ -123,15 +126,22 @@ def _build_case(n_background, p, alphas, pairing, eta=None):
     return space, operator_pair(space, pairing, eta=eta)
 
 
+def _telegraph_action(system, tab, stepper):
+    """Batched one-step action on the stacked state (rho, gt), shaped (2n,)
+    or (2n, m)."""
+    n = system.d_rho.shape[0]
+
+    def apply_step(u, h):
+        return np.concatenate(stepper(system, tab, (u[:n], u[n:]), h))
+
+    return apply_step
+
+
 def telegraph_step_matrix(system, tab, dt, stepper=stable_ars_step):
     """One-step matrix of the linear IMEX update on stacked (rho, gt)."""
-    n = system.d_rho.shape[0]
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    rho_in = np.hstack([eye, zero])
-    gt_in = np.hstack([zero, eye])
-    rho_out, gt_out = stepper(system, tab, (rho_in, gt_in), dt)
-    return np.vstack([rho_out, gt_out])
+    apply_step = _telegraph_action(system, tab, stepper)
+    return linear_step_matrix(lambda u: apply_step(u, dt),
+                              2 * system.d_rho.shape[0])
 
 
 def linear_step_matrix(apply_step, n):
@@ -141,28 +151,51 @@ def linear_step_matrix(apply_step, n):
 
 def _check_time_span(t_final, dt=None):
     """Reject a final time that is negative or not finite, and a step that
-    is not positive: matrix_power would invert the step matrix for a
-    negative step count and integrate backwards."""
+    is not positive: a negative step count has no forward power and would
+    never end the binary powering loop."""
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
 
-def propagate(step_matrix_of_dt, state, t_final, dt):
-    """Advance a stacked state vector to t_final with fixed steps.
-
-    step_matrix_of_dt(dt) must return the one-step matrix; a shorter final
-    step closes any remainder so the output is exactly at t_final. Raises
-    ValueError for t_final < 0 or dt <= 0, and FloatingPointError if the
-    result is not finite (an unstable step).
-    """
+def _step_count(t_final, dt):
+    """Number of full steps of dt in [0, t_final] and the closing step
+    length (0.0 when t_final is a whole number of steps)."""
     _check_time_span(t_final, dt)
     n_full = int(np.floor(t_final / dt + 1e-12))
     rem = t_final - n_full * dt
-    out = np.linalg.matrix_power(step_matrix_of_dt(dt), n_full) @ state
-    if rem > 1e-12 * dt:
-        out = step_matrix_of_dt(rem) @ out
+    return n_full, (rem if rem > 1e-12 * dt else 0.0)
+
+
+def propagate(apply_step, state, t_final, dt):
+    """Advance a state vector to t_final with fixed steps.
+
+    apply_step(u, h) is the batched linear one-step action: u is the state
+    (n,) or a block of states (n, m). The dt step matrix is built once, by
+    one apply_step call on the identity, and raised to the number of full
+    steps by binary powering: floor(log2 n_full) squarings, with each set
+    bit's power applied to the state as a matrix-vector product (no matrix
+    is built when t_final < dt). A shorter closing step, one apply_step
+    call on the state, lands exactly on t_final. Raises ValueError for
+    t_final < 0 or dt <= 0, and FloatingPointError if the result is not
+    finite (an unstable step); overflow inside the products raises no
+    numpy warning of its own.
+    """
+    n_full, rem = _step_count(t_final, dt)
+    out = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_full:
+            power = linear_step_matrix(lambda u: apply_step(u, dt), len(state))
+            k = n_full
+            while k:
+                if k & 1:
+                    out = power @ out
+                k >>= 1
+                if k:
+                    power = power @ power
+        if rem:
+            out = apply_step(out, rem)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(
             f"state is not finite after {n_full} steps of dt={dt:.3e}"
@@ -176,26 +209,34 @@ def _integrate_telegraph(space, ops, eps, tab_name, t_final, dt, state0,
     tab = builtin_tableau(tab_name)
     if stepper is None:
         stepper = stable_ars_step if tab.classification == "ARS" else imex_step
-    v = np.concatenate(state0)
-    v = propagate(lambda h: telegraph_step_matrix(system, tab, h, stepper), v,
-                  t_final, dt)
+    v = propagate(_telegraph_action(system, tab, stepper),
+                  np.concatenate(state0), t_final, dt)
     n = space.n_dofs
     return v[:n], v[n:]
 
 
-def _integrate_heat_explicit(space, L, tab_name, t_final, dt, rho0):
+def _integrate_heat_explicit(L, tab_name, t_final, dt, rho0):
     tab = builtin_tableau(tab_name)
-    v = propagate(
-        lambda h: linear_step_matrix(
-            lambda u: explicit_limit_step(L, tab, u, h), space.n_dofs
-        ),
-        rho0, t_final, dt,
+    return propagate(lambda u, h: explicit_limit_step(L, tab, u, h),
+                     rho0, t_final, dt)
+
+
+def _record_steps(table, t_final, dt, **case):
+    """Append one case's dt and number of full steps to
+    table.metadata["steps"]."""
+    n_full, _ = _step_count(t_final, dt)
+    table.metadata.setdefault("steps", []).append(
+        {**case, "dt": dt, "n_steps": n_full}
     )
-    return v
 
 
 def run_convergence(config: ExperimentConfig) -> ResultTable:
-    """L2 errors and orders against the exact telegraph (or heat) solution."""
+    """L2 errors and orders against the exact telegraph (or heat) solution.
+
+    metadata["steps"] holds one record per row: the case keys, dt and the
+    number of full steps (a shorter closing step follows when t_final is
+    not a whole number of steps).
+    """
     heat_variant = config.kind == "heat"
     table = ResultTable(
         columns=("pairing", "p", "epsilon", "n_background", "dx",
@@ -210,19 +251,23 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
                 for n_bg in config.cells:
                     space, ops = _build_case(n_bg, p, config.alphas, pairing)
                     dx = space.mesh.background_dx
+                    if heat_variant:
+                        # the parabolic constant absorbs one domain length,
+                        # like parabolic_dt; with the plain dx^2 the p = 1, 2
+                        # runs sit outside the explicit stability interval
+                        dt = (C_PRE_HEAT[p] / (2 * p + 1) * dx**2
+                              / (DOMAIN[1] - DOMAIN[0]))
+                    else:
+                        dt = C_PRE[p] / (2 * p + 1) * eps * dx
+                    _record_steps(table, config.t_final, dt, pairing=pairing,
+                                  p=p, epsilon=eps, n_background=n_bg)
                     status = "ok"
                     try:
                         if heat_variant:
-                            # the parabolic constant absorbs one domain
-                            # length, like parabolic_dt; with the plain dx^2
-                            # the p = 1, 2 runs sit outside the explicit
-                            # stability interval
-                            dt = (C_PRE_HEAT[p] / (2 * p + 1) * dx**2
-                                  / (DOMAIN[1] - DOMAIN[0]))
                             rho0 = project(space, np.sin)
                             L = heat_system(ops).L
                             rho = _integrate_heat_explicit(
-                                space, L, config.tableau, config.t_final, dt, rho0
+                                L, config.tableau, config.t_final, dt, rho0
                             )
                             decay = np.exp(-config.t_final)
                             err_rho = l2_error(
@@ -231,7 +276,6 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
                             err_gt = 0.0
                         else:
                             rho_ex, gt_ex, _ = exact_telegraph(eps)
-                            dt = C_PRE[p] / (2 * p + 1) * eps * dx
                             state0 = (
                                 project(space, lambda x: rho_ex(x, 0.0)),
                                 project(space, lambda x: gt_ex(x, 0.0)),
@@ -261,7 +305,12 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
 
 
 def run_asymptotic(config: ExperimentConfig) -> ResultTable:
-    """L2 distance between the telegraph solution and its heat limit."""
+    """L2 distance between the telegraph solution and its heat limit.
+
+    Both integrations of a (tableau, p) case share one dt for every
+    epsilon; metadata["steps"] holds one record per case with dt and the
+    number of full steps.
+    """
     table = ResultTable(
         columns=("tableau", "p", "epsilon", "diff_l2", "stepper"),
         metadata=_metadata(config),
@@ -273,6 +322,7 @@ def run_asymptotic(config: ExperimentConfig) -> ResultTable:
             space, ops = _build_case(n_bg, p, config.alphas, config.pairings[0])
             dx = space.mesh.background_dx
             dt = parabolic_dt(dx, p)
+            _record_steps(table, config.t_final, dt, tableau=tab_name, p=p)
             L = heat_system(ops).L
             for eps in config.epsilons:
                 r = decay_rate(min(eps, 0.5)) if eps <= 0.5 else -1.0
@@ -284,7 +334,7 @@ def run_asymptotic(config: ExperimentConfig) -> ResultTable:
                     stepper=stepper,
                 )
                 rho_heat = _integrate_heat_explicit(
-                    space, L, tab_name, config.t_final, dt, rho0
+                    L, tab_name, config.t_final, dt, rho0
                 )
                 diff = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
                 table.add(tableau=tab_name, p=p, epsilon=eps, diff_l2=diff,

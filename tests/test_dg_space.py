@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cutdg.mesh import build_cut_cell_mesh
+from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import (
     build_space,
     gauss_legendre,
@@ -115,6 +115,35 @@ def test_l2_error_converges_spectrally():
         errs.append(l2_error(space, u, np.sin))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 2.7)
+
+
+def _l2_error_cell_loop(space, u, exact, quad_boost=4):
+    # the per-cell reference loop l2_error replaced
+    qn, qw = gauss_legendre(space.degree + quad_boost)
+    total = 0.0
+    for i in range(space.mesh.n_cells):
+        xl, xr = space.mesh.cell_bounds(i)
+        h = xr - xl
+        xq = 0.5 * (xl + xr) + 0.5 * h * qn
+        uh = space.basis_at(i, xq) @ u[space.dofs(i)]
+        diff = uh - exact(xq)
+        total += 0.5 * h * np.dot(qw, diff * diff)
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_l2_error_matches_cell_loop_on_cut_mesh(p):
+    mesh = build_cut_cell_mesh(-np.pi, np.pi, 16,
+                               evenly_spaced_cuts(16, (1e-7, 0.49)))
+    space = build_space(mesh, p)
+    u = project(space, np.cos) + np.random.default_rng(p).standard_normal(
+        space.n_dofs)
+    for quad_boost in (2, 4):
+        want = _l2_error_cell_loop(space, u, np.sin, quad_boost)
+        assert l2_error(space, u, np.sin, quad_boost) == pytest.approx(
+            want, rel=1e-13, abs=0)
+    with pytest.raises(ValueError, match="quad_boost"):
+        l2_error(space, u, np.sin, quad_boost=1)
 
 
 def test_build_space_validates_degree():

@@ -106,38 +106,102 @@ def test_telegraph_step_matrix_reproduces_stepper():
 def test_propagate_matches_step_loop_including_remainder():
     S = np.array([[0.9, 0.1], [0.0, 0.8]])
 
-    def stepper(h):
+    def apply_step(u, h):
         # a linear one-step map with exact h-dependence for the test
-        return np.eye(2) + h * (S - np.eye(2))
+        return u + h * ((S - np.eye(2)) @ u)
 
     v0 = np.array([1.0, 2.0])
     dt = 0.03
     t_final = 0.1  # 3 full steps plus a remainder of 0.01
-    got = propagate(stepper, v0, t_final, dt)
+    got = propagate(apply_step, v0, t_final, dt)
     want = v0.copy()
     for _ in range(3):
-        want = stepper(dt) @ want
-    want = stepper(0.1 - 3 * dt) @ want
+        want = apply_step(want, dt)
+    want = apply_step(want, 0.1 - 3 * dt)
     assert np.allclose(got, want, atol=1e-14)
 
 
+@pytest.mark.parametrize("with_remainder", [False, True])
+@pytest.mark.parametrize("n_full", [1, 2, 7, 8, 255, 256, 1000])
+def test_propagate_matches_literal_step_loop(n_full, with_remainder):
+    rng = np.random.default_rng(n_full)
+    A = rng.standard_normal((6, 6))
+    A /= 1.01 * np.linalg.norm(A, 2)  # contractive: ||A||_2 < 1
+    dt = 0.25
+    G = (A - np.eye(6)) / dt  # the dt step is exactly u + dt G u = A u
+
+    def apply_step(u, h):
+        return u + h * (G @ u)
+
+    t_final = n_full * dt + (dt / 2 if with_remainder else 0.0)
+    v0 = rng.standard_normal(6)
+    want = v0.copy()
+    for _ in range(n_full):
+        want = apply_step(want, dt)
+    if with_remainder:
+        want = apply_step(want, dt / 2)
+    np.testing.assert_allclose(propagate(apply_step, v0, t_final, dt), want,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("t_final, calls", [(0.07, [1]), (0.7, [2]),
+                                            (0.75, [2, 1]), (25.65, [2, 1])])
+def test_propagate_builds_one_step_matrix_and_steps_the_remainder_once(
+        t_final, calls):
+    seen = []
+
+    def apply_step(u, h):
+        if u.ndim == 2:
+            assert np.array_equal(u, np.eye(3)) and h == 0.1
+        seen.append(u.ndim)
+        return 0.5 * u
+
+    propagate(apply_step, np.ones(3), t_final, 0.1)
+    assert seen == calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_propagate_raises_on_non_finite_state():
-    # 2000 steps of 2 I overflow: 2**2000 exceeds the largest double
-    with pytest.raises(FloatingPointError, match="not finite"):
-        propagate(lambda h: 2.0 * np.eye(2), np.ones(2), 2000.0, 1.0)
+    # 2000 steps of 2 I overflow: 2**2000 exceeds the largest double; the
+    # overflow inside the matrix products raises no numpy warning
+    for t_final in (2000.0, 2000.5):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            propagate(lambda u, h: 2.0 * u, np.ones(2), t_final, 1.0)
 
 
 @pytest.mark.parametrize("t_final, dt", [(-0.1, 0.03), (float("nan"), 0.03),
                                          (0.1, 0.0), (0.1, -0.03)])
 def test_propagate_rejects_negative_time_and_non_positive_step(t_final, dt):
-    # a negative step count would make matrix_power invert the step matrix
+    # a negative step count has no forward power
     with pytest.raises(ValueError, match="t_final|dt"):
-        propagate(lambda h: 0.5 * np.eye(2), np.ones(2), t_final, dt)
+        propagate(lambda u, h: 0.5 * u, np.ones(2), t_final, dt)
 
 
 def test_propagate_zero_time_returns_the_state():
     v0 = np.array([1.0, 2.0])
-    assert np.array_equal(propagate(lambda h: 0.5 * np.eye(2), v0, 0.0, 0.1), v0)
+    assert np.array_equal(propagate(lambda u, h: 0.5 * u, v0, 0.0, 0.1), v0)
+
+
+def test_integrate_telegraph_matches_matrix_power():
+    eps, t_final = 0.1, 0.3
+    space, ops = experiments._build_case(16, 1, experiments.CONVERGENCE_ALPHAS,
+                                         "mp")
+    dt = experiments.C_PRE[1] / 3 * eps * space.mesh.background_dx
+    rng = np.random.default_rng(3)
+    state0 = (rng.standard_normal(space.n_dofs),
+              rng.standard_normal(space.n_dofs))
+    rho, gt = experiments._integrate_telegraph(space, ops, eps, "ARS443",
+                                               t_final, dt, state0)
+    system = telegraph_system(ops, eps)
+    tab = builtin_tableau("ARS443")
+    n_full = int(np.floor(t_final / dt + 1e-12))
+    rem = t_final - n_full * dt
+    assert rem > 1e-12 * dt  # the case closes with a short step
+    want = (np.linalg.matrix_power(telegraph_step_matrix(system, tab, dt), n_full)
+            @ np.concatenate(state0))
+    want = telegraph_step_matrix(system, tab, rem) @ want
+    np.testing.assert_allclose(np.concatenate((rho, gt)), want,
+                               rtol=1e-12, atol=0)
 
 
 def test_linear_step_matrix_is_the_identity_image():
@@ -167,12 +231,38 @@ def test_run_convergence_orders_and_columns():
     assert rows[1]["eoc_rho"] > 1.5  # p=1 once the mesh pair resolves it
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_convergence_reports_over_cfl_run_as_unstable(monkeypatch):
     # 20x the hyperbolic CFL pre-factor of p = 1
     monkeypatch.setattr(experiments, "C_PRE", {1: 20 * experiments.C_PRE[1]})
     table = run_convergence(small_config(cells=(16,), t_final=50.0))
     (row,) = table.rows
     assert row["status"] == "unstable"
+
+
+def test_run_convergence_records_steps_per_case():
+    cfg = small_config()
+    table = run_convergence(cfg)
+    steps = table.metadata["steps"]
+    assert len(steps) == len(table.rows)
+    for rec, row in zip(steps, table.rows):
+        assert (rec["p"], rec["epsilon"], rec["n_background"]) == (
+            row["p"], row["epsilon"], row["n_background"])
+        dt = experiments.C_PRE[1] / 3 * row["epsilon"] * row["dx"]
+        assert rec["dt"] == pytest.approx(dt, rel=1e-15)
+        assert rec["n_steps"] == int(np.floor(cfg.t_final / rec["dt"] + 1e-12))
+    json.dumps(table.metadata)  # the records serialize with the table
+
+
+def test_run_asymptotic_records_steps_per_case():
+    cfg = small_config(cells=(16,), degrees=(0, 1), t_final=0.2)
+    table = run_asymptotic(cfg)
+    steps = table.metadata["steps"]
+    assert [(r["tableau"], r["p"]) for r in steps] == [("ARS443", 0),
+                                                       ("ARS443", 1)]
+    for rec in steps:
+        assert rec["dt"] == parabolic_dt(2 * np.pi / 16, rec["p"])
+        assert rec["n_steps"] == int(np.floor(cfg.t_final / rec["dt"] + 1e-12))
 
 
 def test_run_convergence_heat_variant():
@@ -318,6 +408,14 @@ def test_cli_rejects_negative_tfinal(capsys):
                   "--epsilon", "1e-1", "--alphas", "0.3", "--tfinal", "-0.1"])
     assert exc.value.code == 2
     assert "--tfinal: must be a finite time >= 0" in capsys.readouterr().err
+
+
+def test_cli_convergence_rejects_a_single_cell_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convergence", "--p", "1", "--cells", "32",
+                  "--epsilon", "0.1"])
+    assert exc.value.code == 2
+    assert "at least two --cells values" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand():
