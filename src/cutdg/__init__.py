@@ -14,8 +14,6 @@ from .dg_space import (
     project,
     l2_error,
     l2_norm_of_vector,
-    evaluate_extension,
-    jump_and_mean,
 )
 from .operators import (
     OperatorSet,
@@ -50,7 +48,6 @@ from .time_integration import (
 )
 from .models import (
     TelegraphSystem,
-    HeatSystem,
     telegraph_system,
     heat_system,
     exact_telegraph,
@@ -69,5 +66,4 @@ from .experiments import (
     weighted_condition_number,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -175,11 +175,24 @@ _RUNNERS = {
 }
 
 
+# repeatable flags of which a study reads only the first value
+_SINGLE_VALUED = {
+    "convergence": ("tableau",),
+    "asymptotic": ("cells", "pairing"),
+    "condition": ("cells",),
+    "heat-implicit": ("cells", "p", "pairing"),
+    "sbp-check": ("cells", "epsilon"),
+}
+
+
 def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "convergence" and args.cells and len(args.cells) < 2:
         parser.error("convergence: an order needs at least two --cells values")
+    for flag in _SINGLE_VALUED[args.command]:
+        if len(getattr(args, flag) or ()) > 1:
+            parser.error(f"{args.command}: --{flag} takes one value")
     config = _config(args)
     runner, checker = _RUNNERS[args.command]
     table = runner(config)
@@ -187,13 +200,7 @@ def main(argv=None):
         table.write(config.out, config.fmt)
         print(f"wrote {len(table.rows)} rows to {config.out}")
     else:
-        header = ",".join(table.columns)
-        print(header)
-        for r in table.rows:
-            print(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v)
-                for v in (r[c] for c in table.columns)
-            ))
+        print("\n".join(table.csv_lines()))
     failures = checker(table, config)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

@@ -141,27 +141,6 @@ def build_space(mesh: CutCellMesh, p: int) -> DGSpace:
     )
 
 
-def evaluate_extension(space: DGSpace, coeffs, cell, x):
-    """Evaluate cell's polynomial (possibly extrapolated) at points x."""
-    coeffs = np.asarray(coeffs)
-    vals = space.basis_at(cell, x) @ coeffs[space.dofs(cell)]
-    return vals[0] if np.isscalar(x) else vals
-
-
-def jump_and_mean(space: DGSpace, u, interface):
-    """Jump and mean of u at interface i+1/2 (between cells i and i+1).
-
-    Traces are taken from each cell's own polynomial; the interface index
-    wraps periodically.
-    """
-    i = interface % space.mesh.n_cells
-    ip = (i + 1) % space.mesh.n_cells
-    x = space.mesh.vertices[i + 1]
-    left = evaluate_extension(space, u, i, x)
-    right = evaluate_extension(space, u, ip, space.wrap_near(ip, x))
-    return left - right, 0.5 * (left + right)
-
-
 def project(space: DGSpace, f):
     """Collocate f at the physical nodes (nodal interpolation)."""
     return np.asarray(f(space.nodes)).reshape(-1).astype(float)

@@ -87,24 +87,25 @@ class ResultTable:
     def column(self, name):
         return [r[name] for r in self.rows]
 
-    def to_csv(self, path):
+    def csv_lines(self):
+        """Header line and one line per row; floats keep 17 digits."""
         def fmt(v):
             return f"{v:.17g}" if isinstance(v, float) else str(v)
 
-        lines = [",".join(self.columns)]
-        lines += [",".join(fmt(r[c]) for c in self.columns) for r in self.rows]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return [",".join(self.columns)] + [
+            ",".join(fmt(r[c]) for c in self.columns) for r in self.rows]
 
-    def to_json(self, path):
+    def to_csv(self, path):
         with open(path, "w") as fh:
-            json.dump({"metadata": self.metadata, "rows": self.rows}, fh, indent=2)
+            fh.write("\n".join(self.csv_lines()) + "\n")
 
     def write(self, path, fmt):
         if fmt == "csv":
             self.to_csv(path)
         elif fmt == "json":
-            self.to_json(path)
+            with open(path, "w") as fh:
+                json.dump({"metadata": self.metadata, "rows": self.rows}, fh,
+                          indent=2)
         else:
             raise ValueError(f"unknown output format {fmt!r}")
 
@@ -119,10 +120,25 @@ def _metadata(config):
     return {"config": asdict(config), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
-def _build_case(n_background, p, alphas, pairing, eta=None):
+def _case_space(n_background, p, alphas):
+    """Degree-p space with one evenly spaced cut per fraction in alphas."""
     cuts = evenly_spaced_cuts(n_background, alphas)
-    mesh = build_cut_cell_mesh(*DOMAIN, n_background, cuts)
-    space = build_space(mesh, p)
+    return build_space(build_cut_cell_mesh(*DOMAIN, n_background, cuts), p)
+
+
+# the scheme variants a study compares, in table order
+VARIANTS = ("background", "unstabilized", "dod")
+
+
+def _build_case(n_background, p, alphas, pairing, variant="dod"):
+    """Space and operator pair of one study case.
+
+    "background" drops the cuts, "unstabilized" sets eta = 0 on every small
+    cell and "dod" takes default_eta.
+    """
+    space = _case_space(n_background, p, () if variant == "background" else alphas)
+    eta = ({c: 0.0 for c in space.mesh.small_cells}
+           if variant == "unstabilized" else None)
     return space, operator_pair(space, pairing, eta=eta)
 
 
@@ -203,13 +219,16 @@ def propagate(apply_step, state, t_final, dt):
     return out
 
 
-def _integrate_telegraph(space, ops, eps, tab_name, t_final, dt, state0,
-                         stepper=None):
+def _stepper_for(tab):
+    """The eps-rescaled ARS stepper for ARS tableaux, the plain IMEX step
+    otherwise."""
+    return stable_ars_step if tab.classification == "ARS" else imex_step
+
+
+def _integrate_telegraph(space, ops, eps, tab_name, t_final, dt, state0):
     system = telegraph_system(ops, eps)
     tab = builtin_tableau(tab_name)
-    if stepper is None:
-        stepper = stable_ars_step if tab.classification == "ARS" else imex_step
-    v = propagate(_telegraph_action(system, tab, stepper),
+    v = propagate(_telegraph_action(system, tab, _stepper_for(tab)),
                   np.concatenate(state0), t_final, dt)
     n = space.n_dofs
     return v[:n], v[n:]
@@ -265,7 +284,7 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
                     try:
                         if heat_variant:
                             rho0 = project(space, np.sin)
-                            L = heat_system(ops).L
+                            L = heat_system(ops)
                             rho = _integrate_heat_explicit(
                                 L, config.tableau, config.t_final, dt, rho0
                             )
@@ -309,7 +328,9 @@ def run_asymptotic(config: ExperimentConfig) -> ResultTable:
 
     Both integrations of a (tableau, p) case share one dt for every
     epsilon; metadata["steps"] holds one record per case with dt and the
-    number of full steps.
+    number of full steps. The heat limit does not depend on epsilon and its
+    initial data sin(x) / r scale with 1/r, so it is integrated once per
+    case from sin(x) and divided by r for each epsilon.
     """
     table = ResultTable(
         columns=("tableau", "p", "epsilon", "diff_l2", "stepper"),
@@ -317,28 +338,25 @@ def run_asymptotic(config: ExperimentConfig) -> ResultTable:
     )
     n_bg = config.cells[0]
     for tab_name in (config.tableau,) if isinstance(config.tableau, str) else config.tableau:
-        tab = builtin_tableau(tab_name)
+        stepper = _stepper_for(builtin_tableau(tab_name)).__name__
         for p in config.degrees:
             space, ops = _build_case(n_bg, p, config.alphas, config.pairings[0])
-            dx = space.mesh.background_dx
-            dt = parabolic_dt(dx, p)
+            dt = parabolic_dt(space.mesh.background_dx, p)
             _record_steps(table, config.t_final, dt, tableau=tab_name, p=p)
-            L = heat_system(ops).L
+            heat_sin = _integrate_heat_explicit(
+                heat_system(ops), tab_name, config.t_final, dt,
+                project(space, np.sin),
+            )
             for eps in config.epsilons:
-                r = decay_rate(min(eps, 0.5)) if eps <= 0.5 else -1.0
-                rho0 = project(space, lambda x: np.sin(x) / r)
+                r = decay_rate(eps) if eps <= 0.5 else -1.0
                 state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
-                stepper = stable_ars_step if tab.classification == "ARS" else imex_step
                 rho_tel, _ = _integrate_telegraph(
                     space, ops, eps, tab_name, config.t_final, dt, state0,
-                    stepper=stepper,
                 )
-                rho_heat = _integrate_heat_explicit(
-                    L, tab_name, config.t_final, dt, rho0
-                )
-                diff = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
+                diff = l2_norm_of_vector(space, rho_tel - heat_sin / r,
+                                         ops.mass_diag)
                 table.add(tableau=tab_name, p=p, epsilon=eps, diff_l2=diff,
-                          stepper=stepper.__name__)
+                          stepper=stepper)
     return table
 
 
@@ -359,26 +377,21 @@ _CONDITION_FLOW_KINDS = {"mp": (UPWIND, DOWNWIND), "pm": (DOWNWIND, UPWIND),
                          "central": (CENTRAL, CENTRAL)}
 
 
-def _condition_kappa(n_bg, p, pairing, variant, alphas, shift=0):
-    cuts = tuple(
-        ((i + shift) % n_bg, a, s) for i, a, s in evenly_spaced_cuts(n_bg, alphas)
-    )
-    mesh = build_cut_cell_mesh(*DOMAIN, n_bg, cuts)
-    space = build_space(mesh, p)
+def _condition_kappa(n_bg, p, pairing, variant, alphas):
     if variant == "dod":
         # the classic flow-weighted (unsymmetrized) DoD pair is the
         # discretization whose conditioning the study characterizes, and it
-        # reproduces the reference values; the symmetrized pair differs by
-        # under 20% and is reported by the sensitivity helper
+        # reproduces the reference values; the symmetrized pair of
+        # operator_pair gives a kappa up to 20% larger (p = 2, N = 128)
+        space = _case_space(n_bg, p, alphas)
         eta = default_eta(space)
         d_rho, d_gt = (assemble_stabilized(space, kind, eta, lr_policy="flow")
                        for kind in _CONDITION_FLOW_KINDS[pairing])
         mdiag = mass_diagonal(space)
     else:
-        eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
-        ops = operator_pair(space, pairing, eta=eta)
+        space, ops = _build_case(n_bg, p, alphas, pairing, variant)
         d_rho, d_gt, mdiag = ops.d_rho, ops.d_gt, ops.mass_diag
-    dt = parabolic_dt(mesh.background_dx, p)
+    dt = parabolic_dt(space.mesh.background_dx, p)
     A = np.eye(space.n_dofs) - dt * (d_rho @ d_gt)
     return weighted_condition_number(A, mdiag)
 
@@ -392,31 +405,10 @@ def run_condition(config: ExperimentConfig) -> ResultTable:
     n_bg = config.cells[0]
     for p in config.degrees:
         for pairing in config.pairings:
-            for variant in ("background", "unstabilized", "dod"):
-                alphas = () if variant == "background" else config.alphas
-                table.add(p=p, pairing=pairing, variant=variant,
-                          kappa=_condition_kappa(n_bg, p, pairing, variant, alphas))
+            for variant in VARIANTS:
+                kappa = _condition_kappa(n_bg, p, pairing, variant, config.alphas)
+                table.add(p=p, pairing=pairing, variant=variant, kappa=kappa)
     return table
-
-
-def condition_sensitivity(config: ExperimentConfig, p, pairing, variant,
-                          n_placements=5):
-    """Spread of kappa over shifted cut placements (placement is unstated)."""
-    n_bg = config.cells[0]
-    return [
-        _condition_kappa(n_bg, p, pairing, variant, config.alphas, shift=shift)
-        for shift in range(n_placements)
-    ]
-
-
-def _heat_operator(n_bg, p, pairing, variant, alphas):
-    """Space, heat operator L and mass diagonal of one implicit-heat
-    variant; the OperatorSet is dropped here, so only L outlives the call."""
-    mesh = build_cut_cell_mesh(*DOMAIN, n_bg, evenly_spaced_cuts(n_bg, alphas))
-    space = build_space(mesh, p)
-    eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
-    ops = operator_pair(space, pairing, eta=eta)
-    return space, heat_system(ops).L, ops.mass_diag
 
 
 def _midpoint_step_matrix(L, dt):
@@ -444,9 +436,11 @@ def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
     p = config.degrees[0]
     pairing = config.pairings[0]
     blow_up = 1e6
-    for variant in ("background", "unstabilized", "dod"):
-        alphas = () if variant == "background" else config.alphas
-        space, L, mass_diag = _heat_operator(n_bg, p, pairing, variant, alphas)
+    for variant in VARIANTS:
+        space, ops = _build_case(n_bg, p, config.alphas, pairing, variant)
+        L, mass_diag = heat_system(ops), ops.mass_diag
+        # drop the OperatorSet so only L outlives the assembly
+        del ops
         dt = space.mesh.background_dx / (10.0 * (2 * p + 1))
         S = _midpoint_step_matrix(L, dt)
         rho = project(space, np.cos)
@@ -492,11 +486,8 @@ def run_sbp_report(config: ExperimentConfig) -> ResultTable:
     n_bg = config.cells[0]
     for p in config.degrees:
         for alpha in config.alphas:
-            mesh = build_cut_cell_mesh(
-                *DOMAIN, n_bg, evenly_spaced_cuts(n_bg, (alpha,))
-            )
-            space = build_space(mesh, p)
-            (c,) = mesh.small_cells
+            space = _case_space(n_bg, p, (alpha,))
+            (c,) = space.mesh.small_cells
             etas = (0.0, 0.5, max(0.0, 1.0 - alpha / lambda_c(p)))
             for eta_val in etas:
                 for pairing in config.pairings:

@@ -25,10 +25,6 @@ class TelegraphSystem:
     eps: float
 
     @property
-    def pairing(self):
-        return self.opset.pairing
-
-    @property
     def d_rho(self):
         return self.opset.d_rho
 
@@ -58,22 +54,15 @@ class TelegraphSystem:
         return fr + gr, fg + gg
 
 
-@dataclass(frozen=True)
-class HeatSystem:
-    """Heat-limit semidiscretization rho_t = L rho with L = D^rho D^gt."""
-
-    opset: OperatorSet
-    L: np.ndarray
-
-
 def telegraph_system(opset: OperatorSet, eps) -> TelegraphSystem:
     if eps <= 0:
         raise ValueError("telegraph system requires eps > 0; eps = 0 is the heat limit")
     return TelegraphSystem(opset=opset, eps=float(eps))
 
 
-def heat_system(opset: OperatorSet) -> HeatSystem:
-    return HeatSystem(opset=opset, L=opset.d_rho @ opset.d_gt)
+def heat_system(opset: OperatorSet) -> np.ndarray:
+    """Heat-limit operator L = D^rho D^gt of rho_t = L rho."""
+    return opset.d_rho @ opset.d_gt
 
 
 def decay_rate(eps):

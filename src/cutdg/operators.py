@@ -209,27 +209,22 @@ def assemble_stabilized(space, kind, eta, lr_policy="half"):
     return B / mass_diagonal(space)[:, None]
 
 
-def split_dissipation(d_naive_plus, d_naive_minus, d_central=None, mass_diag=None,
+def split_dissipation(d_naive_plus, d_naive_minus, d_central, mass_diag,
                       tol=1e-10):
     """Dissipation operator with D_naive^-/+ = Dz +/- Ddiss (L_c = R_c = 1/2).
 
-    If the central operator is supplied, the decomposition identity is
-    verified in the M-weighted norm (pass mass_diag, otherwise unweighted);
-    a large residual indicates inconsistent assembly inputs.
+    The decomposition identity against the central operator is verified in
+    the M-weighted norm; a large residual indicates inconsistent assembly
+    inputs.
     """
     ddiss = 0.5 * (d_naive_minus - d_naive_plus)
-    if d_central is not None:
-        resid_mat = 0.5 * (d_naive_minus + d_naive_plus) - d_central
-        scale_mat = d_central
-        if mass_diag is not None:
-            resid_mat = mass_diag[:, None] * resid_mat
-            scale_mat = mass_diag[:, None] * d_central
-        resid = np.max(np.abs(resid_mat))
-        scale = max(np.max(np.abs(scale_mat)), 1.0)
-        if resid > tol * scale:
-            raise RuntimeError(
-                f"dissipation split residual {resid:.3e} exceeds tolerance"
-            )
+    resid_mat = mass_diag[:, None] * (0.5 * (d_naive_minus + d_naive_plus) - d_central)
+    resid = np.max(np.abs(resid_mat))
+    scale = max(np.max(np.abs(mass_diag[:, None] * d_central)), 1.0)
+    if resid > tol * scale:
+        raise RuntimeError(
+            f"dissipation split residual {resid:.3e} exceeds tolerance"
+        )
     return ddiss
 
 

@@ -8,8 +8,6 @@ from cutdg.dg_space import (
     barycentric_weights,
     lagrange_eval,
     differentiation_matrix,
-    evaluate_extension,
-    jump_and_mean,
     project,
     l2_error,
     l2_norm_of_vector,
@@ -77,25 +75,8 @@ def test_extension_extrapolates_linearly():
     space = build_space(mesh, 1)
     u = project(space, lambda x: x)
     # cell 1 covers [1, 2]; its linear polynomial extended to x = 3.5 is 3.5
-    assert evaluate_extension(space, u, 1, 3.5) == pytest.approx(3.5, rel=1e-13)
-
-
-def test_jump_and_mean_on_discontinuous_data(cut_space):
-    n = cut_space.mesh.n_cells
-    u = np.zeros(cut_space.n_dofs)
-    u[cut_space.dofs(0)] = 2.0  # piecewise constants: 2 on cell 0, 0 elsewhere
-    jump, mean = jump_and_mean(cut_space, u, 0)
-    assert jump == pytest.approx(2.0, abs=1e-13)
-    assert mean == pytest.approx(1.0, abs=1e-13)
-    jump, mean = jump_and_mean(cut_space, u, n - 1)  # wrap interface
-    assert jump == pytest.approx(-2.0, abs=1e-13)
-
-
-def test_jump_vanishes_for_smooth_polynomial(cut_space):
-    u = project(cut_space, lambda x: x**2)
-    for i in range(cut_space.mesh.n_cells - 1):  # interior interfaces only
-        jump, _ = jump_and_mean(cut_space, u, i)
-        assert abs(jump) < 1e-12
+    (value,) = space.basis_at(1, 3.5) @ u[space.dofs(1)]
+    assert value == pytest.approx(3.5, rel=1e-13)
 
 
 def test_l2_norm_of_vector_matches_quadrature(cut_space):

@@ -5,8 +5,9 @@ import pytest
 
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
-from cutdg.operators import operator_pair
-from cutdg.models import heat_system, telegraph_system
+from cutdg.operators import default_eta, operator_pair
+from cutdg.models import (decay_rate, heat_system, telegraph_system,
+                          well_prepared_init)
 from cutdg.time_integration import (
     builtin_tableau,
     factor_implicit,
@@ -17,7 +18,6 @@ from cutdg.experiments import (
     DOMAIN,
     ExperimentConfig,
     ResultTable,
-    condition_sensitivity,
     linear_step_matrix,
     parabolic_dt,
     propagate,
@@ -209,6 +209,20 @@ def test_linear_step_matrix_is_the_identity_image():
     assert np.array_equal(linear_step_matrix(lambda u: A @ u, 2), A)
 
 
+def test_build_case_variants():
+    alphas = (1e-3, 0.3)
+    space, ops = experiments._build_case(16, 1, alphas, "mp", "background")
+    assert space.mesh.small_cells == () and space.mesh.n_cells == 16
+    assert ops.eta == {}
+    space, ops = experiments._build_case(16, 1, alphas, "mp", "unstabilized")
+    assert len(space.mesh.small_cells) == len(alphas)
+    assert ops.eta == {c: 0.0 for c in space.mesh.small_cells}
+    space, ops = experiments._build_case(16, 1, alphas, "mp")
+    assert ops.eta == default_eta(space)
+    assert set(ops.eta) == set(space.mesh.small_cells)
+    assert all(eta > 0.0 for eta in ops.eta.values())
+
+
 def test_parabolic_dt_scaling():
     assert parabolic_dt(0.1, 1) == pytest.approx(0.01 / (60 * 2 * np.pi))
     assert parabolic_dt(0.2, 0) / parabolic_dt(0.1, 0) == pytest.approx(4.0)
@@ -274,6 +288,40 @@ def test_run_convergence_heat_variant():
     assert rows[1]["eoc_rho"] > 1.5
 
 
+def test_run_asymptotic_integrates_the_heat_limit_once_per_case(monkeypatch):
+    calls = []
+    integrate = experiments._integrate_heat_explicit
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(experiments, "_integrate_heat_explicit", counted)
+    cfg = ExperimentConfig(kind="asymptotic", **cli._DEFAULTS["asymptotic"])
+    table = run_asymptotic(cfg)
+    assert len(calls) == len(cfg.tableau) * len(cfg.degrees)
+    assert len(table.rows) == len(calls) * len(cfg.epsilons)
+
+
+def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
+    # the reference integrates the heat limit from sin(x) / r for each eps
+    cfg = small_config(cells=(16,), degrees=(0, 2),
+                       epsilons=(1e-1, 1e-3, 1e-6), t_final=0.2)
+    table = run_asymptotic(cfg)
+    for row in table.rows:
+        space, ops = experiments._build_case(16, row["p"], cfg.alphas, "mp")
+        dt = parabolic_dt(space.mesh.background_dx, row["p"])
+        r = decay_rate(row["epsilon"])
+        state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
+        rho_tel, _ = experiments._integrate_telegraph(
+            space, ops, row["epsilon"], "ARS443", cfg.t_final, dt, state0)
+        rho_heat = experiments._integrate_heat_explicit(
+            heat_system(ops), "ARS443", cfg.t_final, dt, state0[0])
+        want = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
+        assert row["diff_l2"] == pytest.approx(want, rel=1e-7, abs=1e-14)
+        assert row["stepper"] == "stable_ars_step"
+
+
 def test_run_asymptotic_monotone_in_eps():
     cfg = small_config(cells=(16,), epsilons=(1e-1, 1e-2, 1e-3), t_final=0.2)
     table = run_asymptotic(cfg)
@@ -289,13 +337,6 @@ def test_run_condition_variants():
     assert by_variant["background"] < 2.0
     assert by_variant["dod"] < 100.0
     assert by_variant["unstabilized"] > 1e3
-
-
-def test_condition_sensitivity_returns_placements():
-    cfg = small_config(cells=(32,), alphas=(0.3,))
-    kappas = condition_sensitivity(cfg, 1, "mp", "dod", n_placements=3)
-    assert len(kappas) == 3
-    assert all(k > 0 for k in kappas)
 
 
 def test_run_heat_implicit_profiles_and_decay():
@@ -320,7 +361,7 @@ def test_run_heat_implicit_matches_lu_step_loop():
         space = build_space(mesh, 1)
         eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
         ops = operator_pair(space, "mp", eta=eta)
-        L = heat_system(ops).L
+        L = heat_system(ops)
         dt = mesh.background_dx / 30.0
         lu = factor_implicit(L, dt, theta=0.5)
         rho = project(space, np.cos)
@@ -416,6 +457,28 @@ def test_cli_convergence_rejects_a_single_cell_count(capsys):
                   "--epsilon", "0.1"])
     assert exc.value.code == 2
     assert "at least two --cells values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, values", [
+    ("convergence", "--tableau", ("ARS443", "SSP2-332")),
+    ("asymptotic", "--cells", ("8", "16")),
+    ("asymptotic", "--pairing", ("mp", "pm")),
+    ("condition", "--cells", ("16", "32")),
+    ("heat-implicit", "--cells", ("16", "32")),
+    ("heat-implicit", "--p", ("1", "2")),
+    ("heat-implicit", "--pairing", ("mp", "pm")),
+    ("sbp-check", "--cells", ("8", "16")),
+    ("sbp-check", "--epsilon", ("1", "0.1")),
+])
+def test_cli_rejects_repeating_a_flag_the_study_reads_once(command, flag,
+                                                           values, capsys):
+    argv = [command]
+    for v in values:
+        argv += [flag, v]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"{command}: {flag} takes one value" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand():

@@ -238,7 +238,7 @@ def test_explicit_limit_step_matches_stability_polynomial(name):
 def test_explicit_limit_step_on_heat_operator_decays():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 16, [(2, 0.3, "left")])
     ops = operator_pair(build_space(mesh, 0), "mp")
-    L = heat_system(ops).L
+    L = heat_system(ops)
     tab = builtin_tableau("ARS443")
     u = np.sin(np.mean(ops.space.nodes, axis=1))
     dt = 0.2 * mesh.background_dx**2
@@ -250,7 +250,7 @@ def test_explicit_limit_step_on_heat_operator_decays():
 def test_implicit_euler_heat_step_solves_the_system():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
-    L = heat_system(ops).L
+    L = heat_system(ops)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(L.shape[0])
     dt = 0.05
@@ -261,7 +261,7 @@ def test_implicit_euler_heat_step_solves_the_system():
 def test_implicit_midpoint_heat_step_and_lu_reuse():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
-    L = heat_system(ops).L
+    L = heat_system(ops)
     rng = np.random.default_rng(8)
     u = rng.standard_normal(L.shape[0])
     dt = 0.05
@@ -278,7 +278,7 @@ def test_implicit_midpoint_heat_step_and_lu_reuse():
 def test_implicit_midpoint_is_contractive_in_mass_norm():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(3, 1e-3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
-    L = heat_system(ops).L
+    L = heat_system(ops)
     dt = 0.1
     n = L.shape[0]
     step = np.linalg.solve(np.eye(n) - 0.5 * dt * L, np.eye(n) + 0.5 * dt * L)
