@@ -5,25 +5,11 @@ scheme on a sequence of meshes, each carrying five small cut cells, and
 prints L2 errors with experimental orders of convergence.
 """
 
-from cutdg.experiments import (
-    CONVERGENCE_ALPHAS,
-    ExperimentConfig,
-    run_convergence,
-)
+from cutdg.experiments import run_convergence
 
 
 def main():
-    config = ExperimentConfig(
-        kind="convergence",
-        degrees=(0, 1, 2),
-        pairings=("mp",),
-        cells=(16, 32, 64, 128),
-        alphas=CONVERGENCE_ALPHAS,
-        epsilons=(1e-1, 1e-3),
-        t_final=1.0,
-        tableau="ARS443",
-    )
-    table = run_convergence(config)
+    table = run_convergence()
     print("pairing  p  epsilon  N    err_rho      eoc_rho")
     for r in table.rows:
         print(f"{r['pairing']:>7}  {r['p']}  {r['epsilon']:7.0e}  "

@@ -7,25 +7,12 @@ epsilon shrinks, and the rescaled ARS stepper stays accurate down to
 epsilon = 1e-10.
 """
 
-from cutdg.experiments import (
-    CONVERGENCE_ALPHAS,
-    ExperimentConfig,
-    run_asymptotic,
-)
+from cutdg.experiments import run_asymptotic
 
 
 def main():
-    config = ExperimentConfig(
-        kind="asymptotic",
-        degrees=(0, 1, 2),
-        pairings=("mp",),
-        cells=(16,),
-        alphas=CONVERGENCE_ALPHAS,
-        epsilons=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-10),
-        t_final=0.5,
-        tableau=("ARS443", "SSP2-332"),
-    )
-    table = run_asymptotic(config)
+    table = run_asymptotic(
+        epsilons=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-10))
     print("tableau   p  epsilon   ||rho_telegraph - rho_heat||_L2")
     for r in table.rows:
         if r["tableau"] == "SSP2-332" and r["epsilon"] < 1e-6:

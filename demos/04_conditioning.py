@@ -7,24 +7,11 @@ keeps the system as well conditioned as the background mesh; without it
 the condition number grows past 1e11.
 """
 
-from cutdg.experiments import (
-    CONDITION_ALPHAS,
-    ExperimentConfig,
-    run_condition,
-)
+from cutdg.experiments import run_condition
 
 
 def main():
-    config = ExperimentConfig(
-        kind="condition",
-        degrees=(0, 1, 2),
-        pairings=("mp", "central"),
-        cells=(128,),
-        alphas=CONDITION_ALPHAS,
-        epsilons=(1.0,),
-        tableau="ARS443",
-    )
-    table = run_condition(config)
+    table = run_condition()
     print("p  pairing  variant        kappa")
     for r in table.rows:
         print(f"{r['p']}  {r['pairing']:>7}  {r['variant']:<13} "

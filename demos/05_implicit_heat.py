@@ -9,24 +9,12 @@ exp(-t) for the cos(x) initial profile.
 
 import numpy as np
 
-from cutdg.experiments import (
-    CONDITION_ALPHAS,
-    ExperimentConfig,
-    run_heat_implicit,
-)
+from cutdg.experiments import run_heat_implicit
 
 
 def main():
-    config = ExperimentConfig(
-        kind="heat-implicit",
-        degrees=(1,),
-        pairings=("mp",),
-        cells=(32,),
-        alphas=CONDITION_ALPHAS,
-        t_final=5.0,
-        tableau="ARS443",
-    )
-    table = run_heat_implicit(config)
+    table = run_heat_implicit()
+    t_final = table.metadata["config"]["t_final"]
     for variant in ("background", "unstabilized", "dod"):
         rows = [r for r in table.rows if r["variant"] == variant]
         print(f"{variant}:")
@@ -35,7 +23,7 @@ def main():
                   f"||rho||_M={r['norm_rho']:.6e}  {r['status']}")
         decay = rows[-1]["norm_rho"] / rows[0]["norm_rho"]
         print(f"  norm decay factor {decay:.6f} (exp(-T) = "
-              f"{np.exp(-config.t_final):.6f})")
+              f"{np.exp(-t_final):.6f})")
 
 
 if __name__ == "__main__":

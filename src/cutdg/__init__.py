@@ -56,7 +56,6 @@ from .models import (
     energy,
 )
 from .experiments import (
-    ExperimentConfig,
     ResultTable,
     run_convergence,
     run_asymptotic,

@@ -1,8 +1,9 @@
 """Command line front end for the experiment runners.
 
 Subcommands: convergence, asymptotic, condition, heat-implicit, sbp-check.
-Each runs its study, writes/prints the result table, checks the study's
-own assertions, and exits non-zero on any failed assertion.
+Each takes the flags its study reads plus --seed, --out and --format, runs
+its study, writes/prints the result table, checks the study's own
+assertions, and exits non-zero on any failed assertion.
 """
 
 import argparse
@@ -11,105 +12,70 @@ import sys
 import numpy as np
 
 from .experiments import (
-    ExperimentConfig,
     run_convergence,
     run_asymptotic,
     run_condition,
     run_heat_implicit,
     run_sbp_report,
-    CONVERGENCE_ALPHAS,
-    CONDITION_ALPHAS,
 )
-from .sbp_verify import ENERGY_TOL
+from .operators import PAIRINGS
 
 
-def _non_negative_time(text):
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite time >= 0, got {text!r}"
-        )
-    return value
+def _finite_float(description, accept):
+    """argparse type: a finite float for which accept(value) holds."""
+    def parse(text):
+        value = float(text)
+        if not (np.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be {description}, got {text!r}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in its messages
+    return parse
 
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="cutdg",
-        description="Cut-cell DG studies for the telegraph/heat system",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("convergence", "asymptotic", "condition", "heat-implicit",
-                 "sbp-check"):
-        s = sub.add_parser(name)
-        s.add_argument("--p", type=int, action="append", default=None,
-                       help="polynomial degree (repeatable)")
-        s.add_argument("--pairing", choices=("mp", "pm", "central"),
-                       action="append", default=None)
-        s.add_argument("--epsilon", type=float, action="append", default=None)
-        s.add_argument("--cells", type=int, action="append", default=None,
-                       help="background cell count (repeatable)")
-        s.add_argument("--alphas", type=float, nargs="+", default=None,
-                       help="cut fractions")
-        s.add_argument("--tfinal", type=_non_negative_time, default=None)
-        s.add_argument("--tableau", choices=("ARS443", "SSP2-332"),
-                       action="append", default=None)
-        s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--out", default="")
-        s.add_argument("--format", choices=("csv", "json"), default="csv")
-    return p
+_non_negative_time = _finite_float("a finite time >= 0", lambda t: t >= 0.0)
+_positive = _finite_float("finite and > 0", lambda v: v > 0.0)
+# the exact telegraph solution (models.decay_rate) needs 0 < eps <= 1/2
+_decay_epsilon = _finite_float("in (0, 1/2]", lambda v: 0.0 < v <= 0.5)
 
+# a repeatable flag sets a list of values; the others may be given once
+_MANY, _ONE = "repeatable", "given once"
 
-_DEFAULTS = {
-    "convergence": dict(degrees=(0, 1, 2), pairings=("mp",),
-                        cells=(16, 32, 64, 128), alphas=CONVERGENCE_ALPHAS,
-                        epsilons=(1e-1, 1e-3), t_final=1.0,
-                        tableau="ARS443"),
-    "asymptotic": dict(degrees=(0, 1, 2), pairings=("mp",), cells=(16,),
-                       alphas=CONVERGENCE_ALPHAS,
-                       epsilons=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                       t_final=0.5, tableau=("ARS443", "SSP2-332")),
-    "condition": dict(degrees=(0, 1, 2), pairings=("mp", "central"),
-                      cells=(128,), alphas=CONDITION_ALPHAS,
-                      epsilons=(1.0,), t_final=0.0, tableau="ARS443"),
-    "heat-implicit": dict(degrees=(1,), pairings=("mp",), cells=(32,),
-                          alphas=CONDITION_ALPHAS, epsilons=(0.0,),
-                          t_final=5.0, tableau="ARS443"),
-    "sbp-check": dict(degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=(8,),
-                      alphas=(1e-7, 1e-3, 0.3, 0.49), epsilons=(1.0,),
-                      t_final=0.0, tableau="ARS443"),
+# argparse options of each study flag
+_OPTIONS = {
+    "p": dict(type=int, help="polynomial degree"),
+    "pairing": dict(choices=PAIRINGS, help="operator pairing"),
+    "epsilon": dict(type=_positive, help="relaxation parameter > 0"),
+    "cells": dict(type=int, help="background cell count"),
+    "alphas": dict(type=float, nargs="+", help="cut fractions"),
+    "tfinal": dict(type=_non_negative_time, help="final time"),
+    "tableau": dict(choices=("ARS443", "SSP2-332"), help="IMEX tableau"),
+    "seed": dict(type=int, help="seed of the sampled energy check's random"
+                                " states; only sbp-check reads it"),
 }
 
 
-def _config(args):
-    d = dict(_DEFAULTS[args.command])
-    d["kind"] = args.command
-    if args.p:
-        d["degrees"] = tuple(args.p)
-    if args.pairing:
-        d["pairings"] = tuple(args.pairing)
-    if args.epsilon:
-        d["epsilons"] = tuple(args.epsilon)
-    if args.cells:
-        d["cells"] = tuple(args.cells)
-    if args.alphas:
-        d["alphas"] = tuple(args.alphas)
-    if args.tfinal is not None:
-        d["t_final"] = args.tfinal
-    if args.tableau:
-        d["tableau"] = tuple(args.tableau) if len(args.tableau) > 1 else args.tableau[0]
-    d["seed"] = args.seed
-    d["out"] = args.out
-    d["fmt"] = args.format
-    return ExperimentConfig(**d)
+def _flag(flag, keyword, arity, **options):
+    """(flag, runner keyword, arity, argparse options) of one study flag;
+    keyword None marks a flag the study accepts but does not read."""
+    options = {**_OPTIONS[flag], **options}
+    options["help"] += f" ({arity})"
+    return flag, keyword, arity, options
 
 
-def _check_convergence(table, config):
+# every study takes --seed, so one call convention serves all five
+_UNREAD_SEED = _flag("seed", None, _ONE)
+
+
+def _check_convergence(table):
+    config = table.metadata["config"]
     failures = []
-    for pairing in config.pairings:
+    for pairing in config["pairings"]:
         if pairing == "central":
             continue  # recorded only; the central pairing can lose an order
-        for p in config.degrees:
-            for eps in config.epsilons:
+        for p in config["degrees"]:
+            for eps in config["epsilons"]:
                 rows = [r for r in table.rows
                         if r["pairing"] == pairing and r["p"] == p
                         and r["epsilon"] == eps]
@@ -122,7 +88,7 @@ def _check_convergence(table, config):
     return failures
 
 
-def _check_asymptotic(table, config):
+def _check_asymptotic(table):
     failures = []
     keys = {(r["tableau"], r["p"]) for r in table.rows}
     for key in sorted(keys):
@@ -133,7 +99,7 @@ def _check_asymptotic(table, config):
     return failures
 
 
-def _check_condition(table, config):
+def _check_condition(table):
     failures = []
     for r in table.rows:
         if r["variant"] == "dod" and not r["kappa"] <= 100.0:
@@ -145,20 +111,20 @@ def _check_condition(table, config):
     return failures
 
 
-def _check_heat_implicit(table, config):
+def _check_heat_implicit(table):
     failures = []
     dod_max = max(r["max_abs_rho"] for r in table.rows if r["variant"] == "dod")
     if not dod_max <= 1.0 + 1e-6:
         failures.append(f"stabilized max|rho| = {dod_max:.6g} exceeds 1")
     bg = [r for r in table.rows if r["variant"] == "background"]
     decay = bg[-1]["norm_rho"] / bg[0]["norm_rho"]
-    expected = np.exp(-config.t_final)
+    expected = np.exp(-table.metadata["config"]["t_final"])
     if not abs(decay / expected - 1.0) <= 0.05:
         failures.append(f"background decay {decay:.4g} off e^-T by more than 5%")
     return failures
 
 
-def _check_sbp(table, config):
+def _check_sbp(table):
     return [
         f"residuals too large for p={r['p']} alpha={r['alpha']:g} eta={r['eta']:g}"
         for r in table.rows
@@ -166,23 +132,66 @@ def _check_sbp(table, config):
     ]
 
 
+# study: (runner, checker, the flags it takes); the parser is built from
+# these, so a flag a study does not read is an argparse error
 _RUNNERS = {
-    "convergence": (run_convergence, _check_convergence),
-    "asymptotic": (run_asymptotic, _check_asymptotic),
-    "condition": (run_condition, _check_condition),
-    "heat-implicit": (run_heat_implicit, _check_heat_implicit),
-    "sbp-check": (run_sbp_report, _check_sbp),
+    "convergence": (run_convergence, _check_convergence, (
+        _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
+        _flag("epsilon", "epsilons", _MANY, type=_decay_epsilon,
+              help="relaxation parameter in (0, 1/2]"),
+        _flag("cells", "cells", _MANY), _flag("alphas", "alphas", _ONE),
+        _flag("tfinal", "t_final", _ONE), _flag("tableau", "tableau", _ONE),
+        _UNREAD_SEED)),
+    "asymptotic": (run_asymptotic, _check_asymptotic, (
+        _flag("p", "degrees", _MANY), _flag("pairing", "pairing", _ONE),
+        _flag("epsilon", "epsilons", _MANY), _flag("cells", "cells", _ONE),
+        _flag("alphas", "alphas", _ONE), _flag("tfinal", "t_final", _ONE),
+        _flag("tableau", "tableaux", _MANY), _UNREAD_SEED)),
+    "condition": (run_condition, _check_condition, (
+        _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
+        _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE),
+        _UNREAD_SEED)),
+    "heat-implicit": (run_heat_implicit, _check_heat_implicit, (
+        _flag("p", "p", _ONE), _flag("pairing", "pairing", _ONE),
+        _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE),
+        _flag("tfinal", "t_final", _ONE), _UNREAD_SEED)),
+    "sbp-check": (run_sbp_report, _check_sbp, (
+        _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
+        _flag("epsilon", "epsilon", _ONE), _flag("cells", "cells", _ONE),
+        _flag("alphas", "alphas", _ONE), _flag("seed", "seed", _ONE))),
 }
 
 
-# repeatable flags of which a study reads only the first value
-_SINGLE_VALUED = {
-    "convergence": ("tableau",),
-    "asymptotic": ("cells", "pairing"),
-    "condition": ("cells",),
-    "heat-implicit": ("cells", "p", "pairing"),
-    "sbp-check": ("cells", "epsilon"),
-}
+def _parser():
+    p = argparse.ArgumentParser(
+        prog="cutdg",
+        description="Cut-cell DG studies for the telegraph/heat system",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, _, flags) in _RUNNERS.items():
+        s = sub.add_parser(name)
+        for flag, _, _, options in flags:
+            s.add_argument(f"--{flag}", action="append", **options)
+        s.add_argument("--out", default="")
+        s.add_argument("--format", choices=("csv", "json"), default="csv")
+    return p
+
+
+def _runner_kwargs(parser, args, flags):
+    """Runner keywords of the flags given; a flag not given leaves the
+    runner's default."""
+    kwargs = {}
+    for flag, keyword, arity, _ in flags:
+        values = getattr(args, flag)
+        if values is None:
+            continue
+        if arity == _ONE:
+            if len(values) > 1:
+                parser.error(f"{args.command}: --{flag} takes one value")
+            values = values[0]
+        if keyword is not None:
+            kwargs[keyword] = values
+    return kwargs
 
 
 def main(argv=None):
@@ -190,18 +199,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "convergence" and args.cells and len(args.cells) < 2:
         parser.error("convergence: an order needs at least two --cells values")
-    for flag in _SINGLE_VALUED[args.command]:
-        if len(getattr(args, flag) or ()) > 1:
-            parser.error(f"{args.command}: --{flag} takes one value")
-    config = _config(args)
-    runner, checker = _RUNNERS[args.command]
-    table = runner(config)
-    if config.out:
-        table.write(config.out, config.fmt)
-        print(f"wrote {len(table.rows)} rows to {config.out}")
+    runner, checker, flags = _RUNNERS[args.command]
+    table = runner(**_runner_kwargs(parser, args, flags))
+    if args.out:
+        table.write(args.out, args.format)
+        print(f"wrote {len(table.rows)} rows to {args.out}")
     else:
         print("\n".join(table.csv_lines()))
-    failures = checker(table, config)
+    failures = checker(table)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if not failures:

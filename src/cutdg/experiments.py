@@ -1,8 +1,10 @@
 """Experiment runners: convergence, asymptotics, conditioning, implicit heat.
 
-Each runner consumes an ExperimentConfig and emits a ResultTable. All
-steppers used here are linear in the state, so every integration assembles
-its one-step matrix once (one batched stepper call over identity columns).
+Each runner takes exactly the parameters its study reads, as keyword
+arguments whose defaults are the reference study; it records them in
+metadata["config"] and returns a ResultTable. All steppers used here are
+linear in the state, so every integration assembles its one-step matrix
+once (one batched stepper call over identity columns).
 The telegraph and explicit-heat integrations then propagate by binary
 powering: the step matrix is squared floor(log2 n) times, each set bit's
 power is applied to the state as a matrix-vector product, and a shorter
@@ -13,7 +15,7 @@ product per step.
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,23 +55,6 @@ C_PRE = {0: 0.5, 1: 0.3, 2: 0.15}
 C_PRE_HEAT = {0: 0.5, 1: 0.3, 2: 0.0375}
 CONVERGENCE_ALPHAS = (1e-7, 1e-3, 1e-1, 0.3, 0.49)
 CONDITION_ALPHAS = (1e-7, 1e-3, 1e-1, 0.25, 0.4, 0.49)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parameters for one experiment run; defaults mirror the studies."""
-
-    kind: str = "convergence"
-    degrees: tuple = (0, 1, 2)
-    pairings: tuple = ("mp",)
-    cells: tuple = (16, 32, 64, 128)
-    alphas: tuple = CONVERGENCE_ALPHAS
-    epsilons: tuple = (1e-1, 1e-3)
-    t_final: float = 1.0
-    tableau: str = "ARS443"
-    seed: int = 0
-    out: str = ""
-    fmt: str = "csv"
 
 
 @dataclass
@@ -116,8 +101,9 @@ def parabolic_dt(dx, p):
     return dx**2 / (20.0 * (2 * p + 1) * (DOMAIN[1] - DOMAIN[0]))
 
 
-def _metadata(config):
-    return {"config": asdict(config), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+def _metadata(params):
+    """Table metadata; a runner passes locals() before binding any name."""
+    return {"config": dict(params), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
 def _case_space(n_background, p, alphas):
@@ -249,28 +235,31 @@ def _record_steps(table, t_final, dt, **case):
     )
 
 
-def run_convergence(config: ExperimentConfig) -> ResultTable:
-    """L2 errors and orders against the exact telegraph (or heat) solution.
+def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
+                    cells=(16, 32, 64, 128), alphas=CONVERGENCE_ALPHAS,
+                    epsilons=(1e-1, 1e-3), t_final=1.0,
+                    tableau="ARS443") -> ResultTable:
+    """L2 errors and orders against the exact telegraph solution; rows
+    with epsilon == 0.0 integrate the explicit heat limit instead.
 
     metadata["steps"] holds one record per row: the case keys, dt and the
     number of full steps (a shorter closing step follows when t_final is
     not a whole number of steps).
     """
-    heat_variant = config.kind == "heat"
     table = ResultTable(
         columns=("pairing", "p", "epsilon", "n_background", "dx",
                  "err_rho", "err_gt", "eoc_rho", "eoc_gt", "status"),
-        metadata=_metadata(config),
+        metadata=_metadata(locals()),
     )
-    epsilons = (0.0,) if heat_variant else config.epsilons
-    for pairing in config.pairings:
-        for p in config.degrees:
+    for pairing in pairings:
+        for p in degrees:
             for eps in epsilons:
+                heat = eps == 0.0
                 prev = None
-                for n_bg in config.cells:
-                    space, ops = _build_case(n_bg, p, config.alphas, pairing)
+                for n_bg in cells:
+                    space, ops = _build_case(n_bg, p, alphas, pairing)
                     dx = space.mesh.background_dx
-                    if heat_variant:
+                    if heat:
                         # the parabolic constant absorbs one domain length,
                         # like parabolic_dt; with the plain dx^2 the p = 1, 2
                         # runs sit outside the explicit stability interval
@@ -278,17 +267,17 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
                               / (DOMAIN[1] - DOMAIN[0]))
                     else:
                         dt = C_PRE[p] / (2 * p + 1) * eps * dx
-                    _record_steps(table, config.t_final, dt, pairing=pairing,
+                    _record_steps(table, t_final, dt, pairing=pairing,
                                   p=p, epsilon=eps, n_background=n_bg)
                     status = "ok"
                     try:
-                        if heat_variant:
+                        if heat:
                             rho0 = project(space, np.sin)
                             L = heat_system(ops)
                             rho = _integrate_heat_explicit(
-                                L, config.tableau, config.t_final, dt, rho0
+                                L, tableau, t_final, dt, rho0
                             )
-                            decay = np.exp(-config.t_final)
+                            decay = np.exp(-t_final)
                             err_rho = l2_error(
                                 space, rho, lambda x: decay * np.sin(x)
                             )
@@ -300,12 +289,12 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
                                 project(space, lambda x: gt_ex(x, 0.0)),
                             )
                             rho, gt = _integrate_telegraph(
-                                space, ops, eps, config.tableau,
-                                config.t_final, dt, state0,
+                                space, ops, eps, tableau, t_final, dt, state0,
                             )
-                            tf = config.t_final
-                            err_rho = l2_error(space, rho, lambda x: rho_ex(x, tf))
-                            err_gt = l2_error(space, gt, lambda x: gt_ex(x, tf))
+                            err_rho = l2_error(
+                                space, rho, lambda x: rho_ex(x, t_final))
+                            err_gt = l2_error(
+                                space, gt, lambda x: gt_ex(x, t_final))
                     except FloatingPointError:
                         err_rho = err_gt = float("nan")
                         status = "unstable"
@@ -323,7 +312,10 @@ def run_convergence(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def run_asymptotic(config: ExperimentConfig) -> ResultTable:
+def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
+                   alphas=CONVERGENCE_ALPHAS,
+                   epsilons=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                   t_final=0.5, tableaux=("ARS443", "SSP2-332")) -> ResultTable:
     """L2 distance between the telegraph solution and its heat limit.
 
     Both integrations of a (tableau, p) case share one dt for every
@@ -334,24 +326,23 @@ def run_asymptotic(config: ExperimentConfig) -> ResultTable:
     """
     table = ResultTable(
         columns=("tableau", "p", "epsilon", "diff_l2", "stepper"),
-        metadata=_metadata(config),
+        metadata=_metadata(locals()),
     )
-    n_bg = config.cells[0]
-    for tab_name in (config.tableau,) if isinstance(config.tableau, str) else config.tableau:
+    for tab_name in tableaux:
         stepper = _stepper_for(builtin_tableau(tab_name)).__name__
-        for p in config.degrees:
-            space, ops = _build_case(n_bg, p, config.alphas, config.pairings[0])
+        for p in degrees:
+            space, ops = _build_case(cells, p, alphas, pairing)
             dt = parabolic_dt(space.mesh.background_dx, p)
-            _record_steps(table, config.t_final, dt, tableau=tab_name, p=p)
+            _record_steps(table, t_final, dt, tableau=tab_name, p=p)
             heat_sin = _integrate_heat_explicit(
-                heat_system(ops), tab_name, config.t_final, dt,
+                heat_system(ops), tab_name, t_final, dt,
                 project(space, np.sin),
             )
-            for eps in config.epsilons:
+            for eps in epsilons:
                 r = decay_rate(eps) if eps <= 0.5 else -1.0
                 state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
                 rho_tel, _ = _integrate_telegraph(
-                    space, ops, eps, tab_name, config.t_final, dt, state0,
+                    space, ops, eps, tab_name, t_final, dt, state0,
                 )
                 diff = l2_norm_of_vector(space, rho_tel - heat_sin / r,
                                          ops.mass_diag)
@@ -396,17 +387,17 @@ def _condition_kappa(n_bg, p, pairing, variant, alphas):
     return weighted_condition_number(A, mdiag)
 
 
-def run_condition(config: ExperimentConfig) -> ResultTable:
+def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
+                  cells=128, alphas=CONDITION_ALPHAS) -> ResultTable:
     """Weighted condition numbers of I - dt L for the scheme variants."""
     table = ResultTable(
         columns=("p", "pairing", "variant", "kappa"),
-        metadata=_metadata(config),
+        metadata=_metadata(locals()),
     )
-    n_bg = config.cells[0]
-    for p in config.degrees:
-        for pairing in config.pairings:
+    for p in degrees:
+        for pairing in pairings:
             for variant in VARIANTS:
-                kappa = _condition_kappa(n_bg, p, pairing, variant, config.alphas)
+                kappa = _condition_kappa(cells, p, pairing, variant, alphas)
                 table.add(p=p, pairing=pairing, variant=variant, kappa=kappa)
     return table
 
@@ -419,7 +410,8 @@ def _midpoint_step_matrix(L, dt):
     )
 
 
-def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
+def run_heat_implicit(*, p=1, pairing="mp", cells=32,
+                      alphas=CONDITION_ALPHAS, t_final=5.0) -> ResultTable:
     """Implicit midpoint integration of the heat semidiscretization.
 
     Every step is recorded, so each variant builds its one-step matrix once
@@ -427,17 +419,14 @@ def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
     step lands exactly on t_final. metadata["steps"] holds dt and the
     number of steps taken per variant.
     """
-    _check_time_span(config.t_final)
     table = ResultTable(
         columns=("variant", "t", "max_abs_rho", "norm_rho", "status"),
-        metadata=_metadata(config),
+        metadata=_metadata(locals()),
     )
-    n_bg = config.cells[0]
-    p = config.degrees[0]
-    pairing = config.pairings[0]
+    _check_time_span(t_final)
     blow_up = 1e6
     for variant in VARIANTS:
-        space, ops = _build_case(n_bg, p, config.alphas, pairing, variant)
+        space, ops = _build_case(cells, p, alphas, pairing, variant)
         L, mass_diag = heat_system(ops), ops.mass_diag
         # drop the OperatorSet so only L outlives the assembly
         del ops
@@ -450,8 +439,8 @@ def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
         table.add(variant=variant, t=t, max_abs_rho=float(np.max(np.abs(rho))),
                   norm_rho=l2_norm_of_vector(space, rho, mass_diag),
                   status=status)
-        while t < config.t_final - 1e-12:
-            h = min(dt, config.t_final - t)
+        while t < t_final - 1e-12:
+            h = min(dt, t_final - t)
             rho = S @ rho if h == dt else implicit_midpoint_heat_step(L, rho, h)
             t += h
             n_steps += 1
@@ -475,26 +464,27 @@ def run_heat_implicit(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def run_sbp_report(config: ExperimentConfig) -> ResultTable:
-    """Structure residuals over a (p, alpha, eta, pairing) grid."""
+def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
+                   alphas=(1e-7, 1e-3, 0.3, 0.49), epsilon=1.0,
+                   seed=0) -> ResultTable:
+    """Structure residuals over a (p, alpha, eta, pairing) grid; seed seeds
+    the random states of the sampled energy check."""
     table = ResultTable(
         columns=("p", "alpha", "eta", "pairing", "skew_residual",
                  "duality_residual", "max_dissipation_eigenvalue",
                  "energy_derivative_bound", "passed"),
-        metadata=_metadata(config),
+        metadata=_metadata(locals()),
     )
-    n_bg = config.cells[0]
-    for p in config.degrees:
-        for alpha in config.alphas:
-            space = _case_space(n_bg, p, (alpha,))
+    for p in degrees:
+        for alpha in alphas:
+            space = _case_space(cells, p, (alpha,))
             (c,) = space.mesh.small_cells
             etas = (0.0, 0.5, max(0.0, 1.0 - alpha / lambda_c(p)))
             for eta_val in etas:
-                for pairing in config.pairings:
+                for pairing in pairings:
                     ops = operator_pair(space, pairing, eta={c: eta_val})
                     rep = sbp_verify.sbp_report(
-                        ops, eps=config.epsilons[0], trials=20,
-                        rng_seed=config.seed,
+                        ops, eps=epsilon, trials=20, rng_seed=seed,
                     )
                     table.add(
                         p=p, alpha=alpha, eta=eta_val, pairing=pairing,

@@ -35,7 +35,6 @@ from cutdg.experiments import (
     CONDITION_ALPHAS,
     CONVERGENCE_ALPHAS,
     DOMAIN,
-    ExperimentConfig,
     run_asymptotic,
     run_condition,
     run_convergence,
@@ -115,12 +114,10 @@ def test_criterion_3_energy_stability():
 
 
 def test_criterion_4_convergence_orders():
-    cfg = ExperimentConfig(kind="convergence", degrees=(0, 1, 2),
-                           pairings=("mp",), cells=(16, 32, 64, 128),
-                           alphas=CONVERGENCE_ALPHAS,
-                           epsilons=(1e-1, 1e-3), t_final=1.0,
-                           tableau="ARS443")
-    table = run_convergence(cfg)
+    table = run_convergence(degrees=(0, 1, 2), pairings=("mp",),
+                            cells=(16, 32, 64, 128), alphas=CONVERGENCE_ALPHAS,
+                            epsilons=(1e-1, 1e-3), t_final=1.0,
+                            tableau="ARS443")
     eocs = {}
     for p in (0, 1, 2):
         for eps in (1e-1, 1e-3):
@@ -128,10 +125,10 @@ def test_criterion_4_convergence_orders():
             eocs[(p, eps)] = rows[-1]["eoc_rho"]
     ok = all(v >= p + 0.8 for (p, _), v in eocs.items())
     # central pairing is recorded without an order assertion
-    central = run_convergence(ExperimentConfig(
-        kind="convergence", degrees=(1,), pairings=("central",),
-        cells=(16, 32, 64, 128), alphas=CONVERGENCE_ALPHAS,
-        epsilons=(1e-1,), t_final=1.0, tableau="ARS443"))
+    central = run_convergence(
+        degrees=(1,), pairings=("central",), cells=(16, 32, 64, 128),
+        alphas=CONVERGENCE_ALPHAS, epsilons=(1e-1,), t_final=1.0,
+        tableau="ARS443")
     central_eoc = central.rows[-1]["eoc_rho"]
     summary = ", ".join(f"p={p} eps={e:g}: {v:.2f}" for (p, e), v in eocs.items())
     report(4, ok, f"EOC over finest pair >= p+0.8 (alternating): {summary};"
@@ -141,11 +138,9 @@ def test_criterion_4_convergence_orders():
 
 def test_criterion_5_asymptotic_sweep():
     eps_grid = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    cfg = ExperimentConfig(kind="asymptotic", degrees=(0, 1, 2),
-                           pairings=("mp",), cells=(16,),
+    table = run_asymptotic(degrees=(0, 1, 2), pairing="mp", cells=16,
                            alphas=CONVERGENCE_ALPHAS, epsilons=eps_grid,
-                           t_final=0.5, tableau=("ARS443", "SSP2-332"))
-    table = run_asymptotic(cfg)
+                           t_final=0.5, tableaux=("ARS443", "SSP2-332"))
     monotone = True
     for tab in ("ARS443", "SSP2-332"):
         for p in (0, 1, 2):
@@ -155,10 +150,9 @@ def test_criterion_5_asymptotic_sweep():
             if any(b >= a for a, b in zip(diffs, diffs[1:])):
                 monotone = False
     # stability at eps = 1e-10 with the rescaled stepper
-    tiny = run_asymptotic(ExperimentConfig(
-        kind="asymptotic", degrees=(0, 1, 2), pairings=("mp",), cells=(16,),
-        alphas=CONVERGENCE_ALPHAS, epsilons=(1e-6, 1e-10), t_final=0.5,
-        tableau="ARS443"))
+    tiny = run_asymptotic(
+        degrees=(0, 1, 2), pairing="mp", cells=16, alphas=CONVERGENCE_ALPHAS,
+        epsilons=(1e-6, 1e-10), t_final=0.5, tableaux=("ARS443",))
     bounded = True
     ratios = []
     for p in (0, 1, 2):
@@ -213,11 +207,8 @@ TABLE_KAPPA = {
 
 
 def test_criterion_7_condition_numbers():
-    cfg = ExperimentConfig(kind="condition", degrees=(0, 1, 2),
-                           pairings=("mp", "central"), cells=(128,),
-                           alphas=CONDITION_ALPHAS, epsilons=(1.0,),
-                           t_final=0.0, tableau="ARS443")
-    table = run_condition(cfg)
+    table = run_condition(degrees=(0, 1, 2), pairings=("mp", "central"),
+                          cells=128, alphas=CONDITION_ALPHAS)
     got = {(r["p"], r["pairing"], r["variant"]): r["kappa"] for r in table.rows}
     tight_ok = True
     worst_rel = 0.0
@@ -247,11 +238,8 @@ def test_criterion_7_condition_numbers():
 
 
 def heat_implicit_table():
-    cfg = ExperimentConfig(kind="heat-implicit", degrees=(1,),
-                           pairings=("mp",), cells=(32,),
-                           alphas=CONDITION_ALPHAS, epsilons=(0.0,),
-                           t_final=5.0, tableau="ARS443")
-    return run_heat_implicit(cfg)
+    return run_heat_implicit(p=1, pairing="mp", cells=32,
+                             alphas=CONDITION_ALPHAS, t_final=5.0)
 
 
 def test_criterion_8_implicit_heat_stabilized_and_background():

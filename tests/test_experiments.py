@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from cutdg.time_integration import (
 )
 from cutdg.experiments import (
     DOMAIN,
-    ExperimentConfig,
     ResultTable,
     linear_step_matrix,
     parabolic_dt,
@@ -228,16 +228,15 @@ def test_parabolic_dt_scaling():
     assert parabolic_dt(0.2, 0) / parabolic_dt(0.1, 0) == pytest.approx(4.0)
 
 
-def small_config(**kw):
-    base = dict(degrees=(1,), pairings=("mp",), cells=(16, 32),
-                alphas=(0.3,), epsilons=(1e-1,), t_final=0.1,
-                tableau="ARS443")
-    base.update(kw)
-    return ExperimentConfig(**base)
+# small cases: p = 1 on one cut at alpha = 0.3
+SMALL = dict(alphas=(0.3,), t_final=0.1)
+SMALL_CONVERGENCE = dict(SMALL, degrees=(1,), cells=(16, 32), epsilons=(1e-1,))
+SMALL_ASYMPTOTIC = dict(SMALL, degrees=(1,), epsilons=(1e-1,),
+                        tableaux=("ARS443",))
 
 
 def test_run_convergence_orders_and_columns():
-    table = run_convergence(small_config())
+    table = run_convergence(**SMALL_CONVERGENCE)
     assert table.columns[0] == "pairing"
     rows = table.rows
     assert len(rows) == 2
@@ -249,14 +248,14 @@ def test_run_convergence_orders_and_columns():
 def test_run_convergence_reports_over_cfl_run_as_unstable(monkeypatch):
     # 20x the hyperbolic CFL pre-factor of p = 1
     monkeypatch.setattr(experiments, "C_PRE", {1: 20 * experiments.C_PRE[1]})
-    table = run_convergence(small_config(cells=(16,), t_final=50.0))
+    table = run_convergence(**dict(SMALL_CONVERGENCE, cells=(16,),
+                                   t_final=50.0))
     (row,) = table.rows
     assert row["status"] == "unstable"
 
 
 def test_run_convergence_records_steps_per_case():
-    cfg = small_config()
-    table = run_convergence(cfg)
+    table = run_convergence(**SMALL_CONVERGENCE)
     steps = table.metadata["steps"]
     assert len(steps) == len(table.rows)
     for rec, row in zip(steps, table.rows):
@@ -264,24 +263,26 @@ def test_run_convergence_records_steps_per_case():
             row["p"], row["epsilon"], row["n_background"])
         dt = experiments.C_PRE[1] / 3 * row["epsilon"] * row["dx"]
         assert rec["dt"] == pytest.approx(dt, rel=1e-15)
-        assert rec["n_steps"] == int(np.floor(cfg.t_final / rec["dt"] + 1e-12))
+        t_final = table.metadata["config"]["t_final"]
+        assert rec["n_steps"] == int(np.floor(t_final / rec["dt"] + 1e-12))
     json.dumps(table.metadata)  # the records serialize with the table
 
 
 def test_run_asymptotic_records_steps_per_case():
-    cfg = small_config(cells=(16,), degrees=(0, 1), t_final=0.2)
-    table = run_asymptotic(cfg)
+    table = run_asymptotic(**dict(SMALL_ASYMPTOTIC, degrees=(0, 1),
+                                  t_final=0.2))
     steps = table.metadata["steps"]
     assert [(r["tableau"], r["p"]) for r in steps] == [("ARS443", 0),
                                                        ("ARS443", 1)]
     for rec in steps:
         assert rec["dt"] == parabolic_dt(2 * np.pi / 16, rec["p"])
-        assert rec["n_steps"] == int(np.floor(cfg.t_final / rec["dt"] + 1e-12))
+        t_final = table.metadata["config"]["t_final"]
+        assert rec["n_steps"] == int(np.floor(t_final / rec["dt"] + 1e-12))
 
 
 def test_run_convergence_heat_variant():
-    table = run_convergence(small_config(kind="heat", degrees=(1,),
-                                         cells=(16, 32), t_final=0.05))
+    table = run_convergence(**dict(SMALL_CONVERGENCE, epsilons=(0.0,),
+                                   t_final=0.05))
     rows = table.rows
     assert all(r["epsilon"] == 0.0 for r in rows)
     assert all(r["err_gt"] == 0.0 for r in rows)
@@ -297,51 +298,53 @@ def test_run_asymptotic_integrates_the_heat_limit_once_per_case(monkeypatch):
         return integrate(*args)
 
     monkeypatch.setattr(experiments, "_integrate_heat_explicit", counted)
-    cfg = ExperimentConfig(kind="asymptotic", **cli._DEFAULTS["asymptotic"])
-    table = run_asymptotic(cfg)
-    assert len(calls) == len(cfg.tableau) * len(cfg.degrees)
-    assert len(table.rows) == len(calls) * len(cfg.epsilons)
+    table = run_asymptotic()
+    config = table.metadata["config"]
+    assert len(calls) == len(config["tableaux"]) * len(config["degrees"])
+    assert len(table.rows) == len(calls) * len(config["epsilons"])
 
 
 def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
     # the reference integrates the heat limit from sin(x) / r for each eps
-    cfg = small_config(cells=(16,), degrees=(0, 2),
-                       epsilons=(1e-1, 1e-3, 1e-6), t_final=0.2)
-    table = run_asymptotic(cfg)
+    t_final = 0.2
+    table = run_asymptotic(**dict(SMALL_ASYMPTOTIC, degrees=(0, 2),
+                                  epsilons=(1e-1, 1e-3, 1e-6), t_final=t_final))
     for row in table.rows:
-        space, ops = experiments._build_case(16, row["p"], cfg.alphas, "mp")
+        space, ops = experiments._build_case(16, row["p"], SMALL["alphas"], "mp")
         dt = parabolic_dt(space.mesh.background_dx, row["p"])
         r = decay_rate(row["epsilon"])
         state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
         rho_tel, _ = experiments._integrate_telegraph(
-            space, ops, row["epsilon"], "ARS443", cfg.t_final, dt, state0)
+            space, ops, row["epsilon"], "ARS443", t_final, dt, state0)
         rho_heat = experiments._integrate_heat_explicit(
-            heat_system(ops), "ARS443", cfg.t_final, dt, state0[0])
+            heat_system(ops), "ARS443", t_final, dt, state0[0])
         want = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
         assert row["diff_l2"] == pytest.approx(want, rel=1e-7, abs=1e-14)
         assert row["stepper"] == "stable_ars_step"
 
 
 def test_run_asymptotic_monotone_in_eps():
-    cfg = small_config(cells=(16,), epsilons=(1e-1, 1e-2, 1e-3), t_final=0.2)
-    table = run_asymptotic(cfg)
+    table = run_asymptotic(**dict(SMALL_ASYMPTOTIC,
+                                  epsilons=(1e-1, 1e-2, 1e-3), t_final=0.2))
     diffs = table.column("diff_l2")
     assert len(diffs) == 3
     assert diffs[0] > diffs[1] > diffs[2] > 0.0
 
 
 def test_run_condition_variants():
-    cfg = small_config(cells=(32,), alphas=(1e-7, 0.3))
-    table = run_condition(cfg)
+    table = run_condition(degrees=(1,), pairings=("mp",), cells=32,
+                          alphas=(1e-7, 0.3))
     by_variant = {r["variant"]: r["kappa"] for r in table.rows}
     assert by_variant["background"] < 2.0
     assert by_variant["dod"] < 100.0
     assert by_variant["unstabilized"] > 1e3
 
 
+SMALL_HEAT_IMPLICIT = dict(p=1, cells=16, alphas=(1e-3,), t_final=1.0)
+
+
 def test_run_heat_implicit_profiles_and_decay():
-    cfg = small_config(degrees=(1,), cells=(16,), alphas=(1e-3,), t_final=1.0)
-    table = run_heat_implicit(cfg)
+    table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
     variants = set(table.column("variant"))
     assert variants == {"background", "unstabilized", "dod"}
     dod_rows = [r for r in table.rows if r["variant"] == "dod"]
@@ -350,13 +353,12 @@ def test_run_heat_implicit_profiles_and_decay():
 
 
 def test_run_heat_implicit_matches_lu_step_loop():
-    cfg = small_config(degrees=(1,), cells=(16,), alphas=(1e-3,), t_final=1.0)
-    table = run_heat_implicit(cfg)
+    table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
     # rtol per variant: the step-matrix product and the LU solve round
     # differently, and the unstabilized operator amplifies that roundoff
     rtol = {"background": 1e-10, "unstabilized": 1e-3, "dod": 1e-10}
     for variant, tol in rtol.items():
-        alphas = () if variant == "background" else cfg.alphas
+        alphas = () if variant == "background" else SMALL_HEAT_IMPLICIT["alphas"]
         mesh = build_cut_cell_mesh(*DOMAIN, 16, evenly_spaced_cuts(16, alphas))
         space = build_space(mesh, 1)
         eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
@@ -367,8 +369,9 @@ def test_run_heat_implicit_matches_lu_step_loop():
         rho = project(space, np.cos)
         t = 0.0
         want = [(t, np.max(np.abs(rho)), l2_norm_of_vector(space, rho, ops.mass_diag))]
-        while t < cfg.t_final - 1e-12:
-            h = min(dt, cfg.t_final - t)
+        t_final = SMALL_HEAT_IMPLICIT["t_final"]
+        while t < t_final - 1e-12:
+            h = min(dt, t_final - t)
             rho = implicit_midpoint_heat_step(L, rho, h, lu=lu if h == dt else None)
             t += h
             want.append((t, np.max(np.abs(rho)),
@@ -383,8 +386,7 @@ def test_run_heat_implicit_matches_lu_step_loop():
 
 @pytest.mark.parametrize("t_final", [0.0, 0.25, 1.0])
 def test_run_heat_implicit_records_steps_per_variant(t_final):
-    cfg = small_config(degrees=(1,), cells=(16,), alphas=(1e-3,), t_final=t_final)
-    table = run_heat_implicit(cfg)
+    table = run_heat_implicit(**dict(SMALL_HEAT_IMPLICIT, t_final=t_final))
     steps = table.metadata["steps"]
     assert set(steps) == {"background", "unstabilized", "dod"}
     for variant, rec in steps.items():
@@ -395,14 +397,28 @@ def test_run_heat_implicit_records_steps_per_variant(t_final):
 
 def test_run_heat_implicit_rejects_negative_t_final():
     with pytest.raises(ValueError, match="t_final"):
-        run_heat_implicit(small_config(degrees=(1,), cells=(16,), t_final=-1.0))
+        run_heat_implicit(**dict(SMALL_HEAT_IMPLICIT, t_final=-1.0))
 
 
 def test_run_sbp_report_grid():
-    cfg = small_config(degrees=(0, 1), cells=(8,), alphas=(1e-3, 0.3))
-    table = run_sbp_report(cfg)
+    table = run_sbp_report(degrees=(0, 1), cells=8, alphas=(1e-3, 0.3),
+                           epsilon=0.1)
     assert len(table.rows) == 2 * 2 * 3  # p x alpha x eta
     assert all(r["passed"] for r in table.rows)
+
+
+@pytest.mark.parametrize("runner, kwargs", [
+    (run_convergence, dict(degrees=(0,), cells=(8, 16), alphas=(0.3,),
+                           t_final=0.0)),
+    (run_asymptotic, dict(degrees=(0,), cells=8, alphas=(0.3,), t_final=0.0)),
+    (run_condition, dict(degrees=(0,), cells=8, alphas=(0.3,))),
+    (run_heat_implicit, dict(cells=8, alphas=(0.3,), t_final=0.0)),
+    (run_sbp_report, dict(degrees=(0,), cells=8, alphas=(0.3,))),
+])
+def test_runners_record_the_parameters_they_read(runner, kwargs):
+    defaults = {name: param.default for name, param
+                in inspect.signature(runner).parameters.items()}
+    assert runner(**kwargs).metadata["config"] == {**defaults, **kwargs}
 
 
 def test_cli_sbp_check_exits_zero(capsys):
@@ -479,6 +495,38 @@ def test_cli_rejects_repeating_a_flag_the_study_reads_once(command, flag,
         cli.main(argv)
     assert exc.value.code == 2
     assert f"{command}: {flag} takes one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, value", [
+    ("convergence", "0"),
+    ("convergence", "-0.1"),
+    ("convergence", "nan"),
+    ("convergence", "0.6"),  # the exact solution needs eps <= 1/2
+    ("asymptotic", "0"),
+    ("sbp-check", "0"),
+])
+def test_cli_rejects_an_epsilon_out_of_range(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--epsilon", value])
+    assert exc.value.code == 2
+    assert "argument --epsilon: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("condition", "--epsilon", "0.3"),
+    ("condition", "--tableau", "SSP2-332"),
+    ("condition", "--tfinal", "1"),
+    ("heat-implicit", "--epsilon", "0.3"),
+    ("heat-implicit", "--tableau", "SSP2-332"),
+    ("sbp-check", "--tableau", "SSP2-332"),
+    ("sbp-check", "--tfinal", "1"),
+])
+def test_cli_rejects_a_flag_the_study_does_not_read(command, flag, value,
+                                                    capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand():
