@@ -18,37 +18,48 @@ from .experiments import (
     run_heat_implicit,
     run_sbp_report,
 )
+from .dg_space import MAX_DEGREE
+from .mesh import MIN_BACKGROUND_CELLS, MeshError
 from .operators import PAIRINGS
 
 
-def _finite_float(description, accept):
-    """argparse type: a finite float for which accept(value) holds."""
+def _checked(convert, description, accept):
+    """argparse type: convert(text), for which accept(value) must hold."""
     def parse(text):
-        value = float(text)
-        if not (np.isfinite(value) and accept(value)):
+        value = convert(text)
+        if not accept(value):
             raise argparse.ArgumentTypeError(
                 f"must be {description}, got {text!r}")
         return value
 
-    parse.__name__ = "float"  # argparse names the type in its messages
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
     return parse
 
 
-_non_negative_time = _finite_float("a finite time >= 0", lambda t: t >= 0.0)
-_positive = _finite_float("finite and > 0", lambda v: v > 0.0)
-# the exact telegraph solution (models.decay_rate) needs 0 < eps <= 1/2
-_decay_epsilon = _finite_float("in (0, 1/2]", lambda v: 0.0 < v <= 0.5)
+# chained comparisons are false for nan, and the finite ones reject inf
+_non_negative_time = _checked(float, "a finite time >= 0",
+                              lambda t: 0.0 <= t < np.inf)
+_positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < np.inf)
+# the exact telegraph solution (models.decay_rate) needs 0 < eps <= 1/2, and
+# a cut fraction is the small piece's share of its background cell
+_zero_to_half = _checked(float, "in (0, 1/2]", lambda v: 0.0 < v <= 0.5)
+# sbp-check studies the one small cell of a cut, and a cut at 1/2 makes none
+_small_cut = _checked(float, "in (0, 1/2)", lambda v: 0.0 < v < 0.5)
+_degree = _checked(int, f"an integer in 0..{MAX_DEGREE}",
+                   lambda p: 0 <= p <= MAX_DEGREE)
+_cell_count = _checked(int, f"an integer >= {MIN_BACKGROUND_CELLS}",
+                       lambda n: n >= MIN_BACKGROUND_CELLS)
 
 # a repeatable flag sets a list of values; the others may be given once
 _MANY, _ONE = "repeatable", "given once"
 
 # argparse options of each study flag
 _OPTIONS = {
-    "p": dict(type=int, help="polynomial degree"),
+    "p": dict(type=_degree, help="polynomial degree"),
     "pairing": dict(choices=PAIRINGS, help="operator pairing"),
     "epsilon": dict(type=_positive, help="relaxation parameter > 0"),
-    "cells": dict(type=int, help="background cell count"),
-    "alphas": dict(type=float, nargs="+", help="cut fractions"),
+    "cells": dict(type=_cell_count, help="background cell count"),
+    "alphas": dict(type=_zero_to_half, nargs="+", help="cut fractions"),
     "tfinal": dict(type=_non_negative_time, help="final time"),
     "tableau": dict(choices=("ARS443", "SSP2-332"), help="IMEX tableau"),
     "seed": dict(type=int, help="seed of the sampled energy check's random"
@@ -137,7 +148,7 @@ def _check_sbp(table):
 _RUNNERS = {
     "convergence": (run_convergence, _check_convergence, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
-        _flag("epsilon", "epsilons", _MANY, type=_decay_epsilon,
+        _flag("epsilon", "epsilons", _MANY, type=_zero_to_half,
               help="relaxation parameter in (0, 1/2]"),
         _flag("cells", "cells", _MANY), _flag("alphas", "alphas", _ONE),
         _flag("tfinal", "t_final", _ONE), _flag("tableau", "tableau", _ONE),
@@ -158,7 +169,9 @@ _RUNNERS = {
     "sbp-check": (run_sbp_report, _check_sbp, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
         _flag("epsilon", "epsilon", _ONE), _flag("cells", "cells", _ONE),
-        _flag("alphas", "alphas", _ONE), _flag("seed", "seed", _ONE))),
+        _flag("alphas", "alphas", _ONE, type=_small_cut,
+              help="cut fractions in (0, 1/2)"),
+        _flag("seed", "seed", _ONE))),
 }
 
 
@@ -200,7 +213,12 @@ def main(argv=None):
     if args.command == "convergence" and args.cells and len(args.cells) < 2:
         parser.error("convergence: an order needs at least two --cells values")
     runner, checker, flags = _RUNNERS[args.command]
-    table = runner(**_runner_kwargs(parser, args, flags))
+    try:
+        table = runner(**_runner_kwargs(parser, args, flags))
+    except MeshError as e:
+        # each flag is range-checked on its own, so what is left is a mesh
+        # that the cell count and the cut fractions cannot make together
+        parser.error(f"{args.command}: --cells and --alphas: {e}")
     if args.out:
         table.write(args.out, args.format)
         print(f"wrote {len(table.rows)} rows to {args.out}")

@@ -7,6 +7,8 @@ import numpy as np
 # A cell is "small" (needs stabilization) iff its size is strictly below
 # half the background cell size; an exact half needs no stabilization.
 SMALL_CELL_FACTOR = 0.5
+# fewest background cells a mesh may have
+MIN_BACKGROUND_CELLS = 4
 
 
 class MeshError(ValueError):
@@ -52,8 +54,9 @@ def build_cut_cell_mesh(domain_left, domain_right, n_background, cuts=()):
     Cut indices must be pairwise non-adjacent (periodically) so that every
     small cell has full-size neighbors on both sides.
     """
-    if n_background < 4:
-        raise MeshError(f"need at least 4 background cells, got {n_background}")
+    if n_background < MIN_BACKGROUND_CELLS:
+        raise MeshError(f"need at least {MIN_BACKGROUND_CELLS} background "
+                        f"cells, got {n_background}")
     if not domain_right > domain_left:
         raise MeshError("domain_right must exceed domain_left")
 

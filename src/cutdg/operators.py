@@ -4,7 +4,12 @@ All bilinear forms are assembled in the convention form(u, w) = w^T M D u;
 the helpers below build the matrix B = M D and return D = M^{-1} B (M is
 diagonal for the nodal Gauss-Legendre basis). The forms are local: each
 interface adds four (p+1) x (p+1) blocks coupling its two cells, and each
-small cell's correction couples the cell and its two neighbors.
+small cell's correction couples the cell and its two neighbors. The
+background blocks are the same at every interface and cell, so the
+background form is block-circulant and is built in one scatter per block
+diagonal, with no loop over cells or interfaces; its diagonal blocks are
+summed in the order a loop over interfaces would sum them (see
+assemble_background_mform), so it equals that per-interface sum bitwise.
 
 The stabilized operators come in two flavors:
   * "naive" (assemble_stabilized): background + small-cell correction
@@ -58,10 +63,9 @@ def _flux_coeffs(kind):
 
 
 def mass_diagonal(space: DGSpace):
-    diag = np.empty(space.n_dofs)
-    for i in range(space.mesh.n_cells):
-        diag[space.dofs(i)] = space.cell_weights(i)
-    return diag
+    """Physical quadrature weights of every dof, cell by cell."""
+    h = space.mesh.cell_sizes
+    return (space.ref_weights[None, :] * (h[:, None] / 2.0)).reshape(-1)
 
 
 def _ref_traces(space):
@@ -91,22 +95,37 @@ def _add_outer(B, space, rows, cols, scale=1.0):
 
 
 def assemble_background_mform(space: DGSpace, kind):
-    """B = M D for the background DG derivative with flux `kind`."""
+    """B = M D for the background DG derivative with flux `kind`.
+
+    The -1/+1 reference traces do not depend on the cell size, so every
+    interface adds the same four (p+1) x (p+1) blocks and every cell the
+    same volume block: B is block-circulant, and it is written in one
+    scatter per block diagonal. Each diagonal block sums its volume block
+    and the blocks of the interfaces on its left and right, in the order of
+    a loop over interfaces 0..n-1; cell 0 meets its right interface (0)
+    before its left one (n-1), so its sum runs in the other order, which
+    keeps B bitwise equal to the per-interface sum.
+    """
     ha, hb = _flux_coeffs(kind)
-    n = space.mesh.n_cells
+    n, k = space.mesh.n_cells, space.nodes_per_cell
     left, right = _ref_traces(space)
-    B = np.zeros((space.n_dofs, space.n_dofs))
     # volume term: -int_E u dx(w); with the collocation basis the block is
     # -(diag(w_ref) @ D_ref)^T independent of the cell size
     vol = -(np.diag(space.ref_weights) @ space.ref_diff).T
-    for i in range(n):
-        B[space.dofs(i), space.dofs(i)] += vol
     # interface terms H(u_i, u_{i+1}) [[w]] at x_{i+1/2}, with the test
-    # jump [[w]] = w_i(x^-) - w_{i+1}(x^+)
-    for i in range(n):
-        ip = (i + 1) % n
-        _add_outer(B, space, [(i, right), (ip, -left)],
-                   [(i, ha * right), (ip, hb * left)])
+    # jump [[w]] = w_i(x^-) - w_{i+1}(x^+): test row, trial column
+    rr = np.outer(right, ha * right)  # cell i, cell i
+    rl = np.outer(right, hb * left)  # cell i, cell i+1
+    lr = np.outer(-left, ha * right)  # cell i+1, cell i
+    ll = np.outer(-left, hb * left)  # cell i+1, cell i+1
+    B = np.zeros((space.n_dofs, space.n_dofs))
+    blocks = B.reshape(n, k, n, k)  # a view: blocks[i, :, j, :] is (i, j)
+    i = np.arange(n)
+    ip = (i + 1) % n
+    blocks[i[1:], :, i[1:], :] += (vol + ll) + rr
+    blocks[0, :, 0, :] += (vol + rr) + ll
+    blocks[i, :, ip, :] += rl
+    blocks[ip, :, i, :] += lr
     return B
 
 

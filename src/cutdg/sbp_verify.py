@@ -82,24 +82,23 @@ def check_energy_decay(opset: OperatorSet, eps, trials=200, rng_seed=0):
     Evaluates d/dt (rho^T M rho + eps^2 gt^T M gt) algebraically with the
     semidiscrete right side and returns the maximum of the ratio
     derivative / energy; a value <= 0 (up to roundoff) certifies decay.
+    All trials are evaluated at once, three matrix products in total.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rng = np.random.default_rng(rng_seed)
     m = opset.mass_diag
-    d_rho, d_gt = opset.d_rho, opset.d_gt
-    d_diff = opset.d_diff
-    n = len(m)
-    worst = -np.inf
-    for _ in range(trials):
-        rho = rng.standard_normal(n)
-        gt = rng.standard_normal(n)
-        rho_dot = -d_rho @ gt
-        gt_dot = -(d_gt @ rho + gt) / eps**2 + (d_diff @ gt) / (2.0 * eps)
-        deriv = 2.0 * rho @ (m * rho_dot) + 2.0 * eps**2 * gt @ (m * gt_dot)
-        en = rho @ (m * rho) + eps**2 * gt @ (m * gt)
-        worst = max(worst, deriv / en)
-    return float(worst)
+    # one draw in (trial, rho/gt, dof) order gives the states of drawing
+    # rho, then gt, trial after trial
+    states = np.random.default_rng(rng_seed).standard_normal(
+        (trials, 2, len(m)))
+    rho, gt = states[:, 0], states[:, 1]
+    rho_dot = -gt @ opset.d_rho.T
+    gt_dot = (-(rho @ opset.d_gt.T + gt) / eps**2
+              + (gt @ opset.d_diff.T) / (2.0 * eps))
+    deriv = (2.0 * np.sum(rho * (m * rho_dot), axis=1)
+             + 2.0 * eps**2 * np.sum(gt * (m * gt_dot), axis=1))
+    en = np.sum(rho * (m * rho), axis=1) + eps**2 * np.sum(gt * (m * gt), axis=1)
+    return float(np.max(deriv / en, initial=-np.inf))
 
 
 def p0_closed_form(space, alpha, eta_c):

@@ -529,6 +529,22 @@ def test_cli_rejects_a_flag_the_study_does_not_read(command, flag, value,
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("condition --cells 8", "condition: --cells and --alphas: 6 cuts need at"
+                            " least 12 background cells"),
+    ("sbp-check --p -1 --cells 8", "argument --p: must be an integer in 0..10"),
+    ("sbp-check --alphas 0.7", "argument --alphas: must be in (0, 1/2)"),
+    ("sbp-check --cells 3 --p 0", "argument --cells: must be an integer >= 4"),
+    ("heat-implicit --p 11 --cells 16 --tfinal 0",
+     "argument --p: must be an integer in 0..10"),
+])
+def test_cli_rejects_a_mesh_or_degree_out_of_range(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         cli.main(["made-up"])

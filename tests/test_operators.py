@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from cutdg.mesh import build_cut_cell_mesh
+from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space
 from cutdg.operators import (
     CENTRAL,
@@ -213,6 +213,50 @@ def test_dod_volume_matches_oracle(p, kind, lr, cuts):
         want = oracle_dod_volume(space, c, kind, 0.7, *lr)
         scale = max(np.max(np.abs(want)), 1.0)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def loop_background(space, kind):
+    """The background form summed one interface at a time: the reference
+    for the block-circulant scatter, which must match it bitwise."""
+    ha, hb = FLUX[kind]
+    n = space.mesh.n_cells
+    left, right = space.basis_at_ref([-1.0, 1.0])
+    B = np.zeros((space.n_dofs, space.n_dofs))
+    vol = -(np.diag(space.ref_weights) @ space.ref_diff).T
+    for i in range(n):
+        B[space.dofs(i), space.dofs(i)] += vol
+    for i in range(n):
+        ip = (i + 1) % n
+        for a, r in ((i, right), (ip, -left)):
+            for b, col in ((i, ha * right), (ip, hb * left)):
+                B[space.dofs(a), space.dofs(b)] += 1.0 * np.outer(r, col)
+    return B
+
+
+def loop_mass_diagonal(space):
+    diag = np.empty(space.n_dofs)
+    for i in range(space.mesh.n_cells):
+        diag[space.dofs(i)] = space.cell_weights(i)
+    return diag
+
+
+CONVERGENCE_CUTS = (1e-7, 1e-3, 1e-1, 0.3, 0.49)
+
+
+@pytest.mark.parametrize("n, cuts", [
+    (4, ()),
+    (4, ((0, 0.3, "left"),)),  # the small cell is cell 0: wrap-around
+    (8, ((0, 0.25, "right"),)),
+    (16, evenly_spaced_cuts(16, CONVERGENCE_CUTS)),
+    (128, evenly_spaced_cuts(128, CONVERGENCE_CUTS)),
+])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_background_and_mass_equal_the_cell_loops(n, cuts, p):
+    space = build_space(build_cut_cell_mesh(-np.pi, np.pi, n, cuts), p)
+    for kind in (UPWIND, DOWNWIND, CENTRAL):
+        assert np.array_equal(assemble_background_mform(space, kind),
+                              loop_background(space, kind))
+    assert np.array_equal(mass_diagonal(space), loop_mass_diagonal(space))
 
 
 def test_stabilized_is_sum_of_parts():

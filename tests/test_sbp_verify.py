@@ -86,6 +86,35 @@ def test_energy_decay_detects_antidissipative_dynamics():
     assert worst > 1e-3
 
 
+def loop_energy_decay(opset, eps, trials, rng_seed):
+    """The sampled energy check one trial at a time."""
+    rng = np.random.default_rng(rng_seed)
+    m = opset.mass_diag
+    d_rho, d_gt, d_diff = opset.d_rho, opset.d_gt, opset.d_diff
+    worst = -np.inf
+    for _ in range(trials):
+        rho = rng.standard_normal(len(m))
+        gt = rng.standard_normal(len(m))
+        rho_dot = -d_rho @ gt
+        gt_dot = -(d_gt @ rho + gt) / eps**2 + (d_diff @ gt) / (2.0 * eps)
+        deriv = 2.0 * rho @ (m * rho_dot) + 2.0 * eps**2 * gt @ (m * gt_dot)
+        en = rho @ (m * rho) + eps**2 * gt @ (m * gt)
+        worst = max(worst, deriv / en)
+    return worst
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+@pytest.mark.parametrize("alpha", [1e-7, 0.3])
+@pytest.mark.parametrize("eps", [1.0, 1e-3])
+def test_energy_decay_matches_the_trial_loop(p, alpha, eps):
+    # matrix products round differently from matrix-vector products
+    ops = make_ops(p, alpha)
+    for seed in (0, 7):
+        got = check_energy_decay(ops, eps, trials=20, rng_seed=seed)
+        want = loop_energy_decay(ops, eps, trials=20, rng_seed=seed)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
 def test_energy_decay_eps_validation():
     with pytest.raises(ValueError):
         check_energy_decay(make_ops(0, 0.3), 0.0)
