@@ -43,7 +43,6 @@ from .time_integration import (
     imex_step,
     stable_ars_step,
     explicit_limit_step,
-    implicit_euler_heat_step,
     implicit_midpoint_heat_step,
 )
 from .models import (

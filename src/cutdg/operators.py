@@ -10,6 +10,10 @@ background form is block-circulant and is built in one scatter per block
 diagonal, with no loop over cells or interfaces; its diagonal blocks are
 summed in the order a loop over interfaces would sum them (see
 assemble_background_mform), so it equals that per-interface sum bitwise.
+Each small-cell form returns only its local block, the 3(p+1) x 3(p+1)
+coupling of cells (c-1, c, c+1) with their global dofs, and
+assemble_stabilized adds the flux block and then the volume block of each
+small cell, in mesh order, into the background B.
 
 The stabilized operators come in two flavors:
   * "naive" (assemble_stabilized): background + small-cell correction
@@ -86,14 +90,6 @@ def _extended_basis(space, j, x):
     return space.basis_at(j, space.wrap_near(j, x))
 
 
-def _add_outer(B, space, rows, cols, scale=1.0):
-    """B += scale * outer(row, col) for a row and a column that are nonzero
-    on a few cells only, each given as (cell, block vector) pairs."""
-    for i, r in rows:
-        for j, c in cols:
-            B[space.dofs(i), space.dofs(j)] += scale * np.outer(r, c)
-
-
 def assemble_background_mform(space: DGSpace, kind):
     """B = M D for the background DG derivative with flux `kind`.
 
@@ -130,10 +126,12 @@ def assemble_background_mform(space: DGSpace, kind):
 
 
 def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
-    """B = M J0 for the small-cell interface flux correction.
+    """Local block of B = M J0 for the small-cell interface flux correction.
 
     Replaces a fraction eta_c of the fluxes at both interfaces of the small
-    cell by fluxes built from the extended neighbor polynomials.
+    cell by fluxes built from the extended neighbor polynomials. Returns
+    (dofs, block): the global dofs of cells (c-1, c, c+1), periodic, in that
+    order, and their 3(p+1) x 3(p+1) block; the form is zero outside it.
     """
     mesh = space.mesh
     if c not in mesh.small_cells:
@@ -144,49 +142,52 @@ def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
     n = mesh.n_cells
     cm, cp = (c - 1) % n, (c + 1) % n
     left, right = _ref_traces(space)
+    zero = np.zeros(space.nodes_per_cell)
     # u_{c+1} extended to the left end of E_c, u_{c-1} to its right end
     ext_p = _extended_basis(space, cp, mesh.vertices[c])[0]
     ext_m = _extended_basis(space, cm, mesh.vertices[c + 1])[0]
-
-    B = np.zeros((space.n_dofs, space.n_dofs))
+    # test rows and trial columns on cells (c-1, c, c+1)
     # interface c-1/2: H(u_{c-1}, u_{c+1}) - H(u_{c-1}, u_c); the u_{c-1}
     # contributions cancel, leaving the b-slot difference
-    _add_outer(B, space, [(cm, right), (c, -left)],
-               [(c, hb * -left), (cp, hb * ext_p)], eta_c)
+    block = eta_c * np.outer(np.concatenate((right, -left, zero)),
+                             np.concatenate((zero, hb * -left, hb * ext_p)))
     # interface c+1/2: H(u_{c-1}, u_{c+1}) - H(u_c, u_{c+1})
-    _add_outer(B, space, [(c, right), (cp, -left)],
-               [(cm, ha * ext_m), (c, ha * -right)], eta_c)
-    return B
+    block += eta_c * np.outer(np.concatenate((zero, right, -left)),
+                              np.concatenate((ha * ext_m, ha * -right, zero)))
+    return np.r_[space.dofs(cm), space.dofs(c), space.dofs(cp)], block
 
 
 def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
-    """B = M J1 for the small-cell volume redistribution (linear flux).
+    """Local block of B = M J1 for the small-cell volume redistribution
+    (linear flux).
 
     Implements eta_c * sum_{j in {c-1,c,c+1}} K(j) * int_{E_c} H(j) dx with
     K(c-1)=L_c, K(c)=-1, K(c+1)=R_c and
     H(j) = (H(u_{c-1},u_{c+1}) - u_j) dx(w_j)
            + H_a u_j dx(w_{c-1}) + H_b u_j dx(w_{c+1}).
     All integrands have degree <= 2p-1, so the cell's own quadrature rule
-    is exact.
+    is exact. Returns (dofs, block) as assemble_dod_flux_mform does.
     """
     mesh = space.mesh
     if c not in mesh.small_cells:
         raise ValueError(f"cell {c} is not a small cell")
     if abs(L_c + R_c - 1.0) > 1e-14:
         raise ValueError(f"volume weights must satisfy L_c + R_c = 1, got {L_c + R_c}")
-    B = np.zeros((space.n_dofs, space.n_dofs))
+    n, k = mesh.n_cells, space.nodes_per_cell
+    cells = ((c - 1) % n, c, (c + 1) % n)
+    block = np.zeros((3, k, 3, k))  # block[a, :, b, :] couples cells[a], cells[b]
+    dofs = np.r_[tuple(space.dofs(j) for j in cells)]
     if space.degree == 0 or eta_c == 0.0:
-        return B  # test derivatives vanish / no stabilization
+        # test derivatives vanish / no stabilization
+        return dofs, block.reshape(3 * k, 3 * k)
 
     ha, hb = _flux_coeffs(kind)
-    n = mesh.n_cells
-    cells = ((c - 1) % n, c, (c + 1) % n)
     K = (L_c, -1.0, R_c)
     slot = (ha, 0.0, hb)  # weight of each cell's u in H(u_{c-1}, u_{c+1})
     wq = space.cell_weights(c)
     # basis values of each cell at the quadrature points of E_c; the small
     # cell's own basis is the identity at its nodes (collocation)
-    E = [np.eye(space.nodes_per_cell) if j == c
+    E = [np.eye(k) if j == c
          else _extended_basis(space, j, space.nodes[c]) for j in cells]
     # weighted test derivatives dx(w_j)^T diag(wq); dx(w_j) has degree p-1,
     # so interpolating its nodal values is exact
@@ -197,34 +198,28 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
     for a in range(3):
         for b in range(3):
             trial = slot[b] * E[b] - E[b] if a == b else slot[b] * E[b]
-            B[space.dofs(cells[a]), space.dofs(cells[b])] += eta_c * (
+            block[a, :, b, :] = eta_c * (
                 K[a] * (GW[a] @ trial) + K[b] * slot[a] * (GW[a] @ E[b]))
-    return B
+    return dofs, block.reshape(3 * k, 3 * k)
 
 
-def _volume_weights(kind, lr_policy):
-    if lr_policy == "half":
-        return 0.5, 0.5
-    if lr_policy == "flow":
-        # classic flow-based redistribution; breaks the dual-pair for p >= 1
-        if kind == UPWIND:
-            return 1.0, 0.0
-        if kind == DOWNWIND:
-            return 0.0, 1.0
-        return 0.5, 0.5
-    raise ValueError(f"unknown L/R policy {lr_policy!r}")
+def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
+    """Full DoD-stabilized derivative: background + sum over small cells.
 
-
-def assemble_stabilized(space, kind, eta, lr_policy="half"):
-    """Full DoD-stabilized derivative: background + sum over small cells."""
+    Each small cell's flux block and then its volume block, with volume
+    weights (L_c, R_c), is added to B in mesh order.
+    """
     missing = [c for c in space.mesh.small_cells if c not in eta]
     if missing:
         raise ValueError(f"eta missing for small cells {missing}")
     B = assemble_background_mform(space, kind)
-    L, R = _volume_weights(kind, lr_policy)
+    # a mesh has at least 4 cells, so the three cells of a block are
+    # distinct and no dof repeats within one fancy-indexed +=
     for c in space.mesh.small_cells:
-        B += assemble_dod_flux_mform(space, c, kind, eta[c])
-        B += assemble_dod_volume_mform(space, c, kind, eta[c], L, R)
+        for dofs, block in (
+                assemble_dod_flux_mform(space, c, kind, eta[c]),
+                assemble_dod_volume_mform(space, c, kind, eta[c], *volume_weights)):
+            B[np.ix_(dofs, dofs)] += block
     return B / mass_diagonal(space)[:, None]
 
 
@@ -291,7 +286,6 @@ class OperatorSet:
     Dp_symm: np.ndarray
     Dm_symm: np.ndarray
     eta: dict
-    pairing: str
     d_rho: np.ndarray
     d_gt: np.ndarray
 
@@ -336,7 +330,6 @@ def operator_pair(space, pairing, eta=None):
         Dp_symm=dp_symm,
         Dm_symm=dm_symm,
         eta=dict(eta),
-        pairing=pairing,
         d_rho=d_rho,
         d_gt=d_gt,
     )

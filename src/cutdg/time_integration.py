@@ -233,21 +233,15 @@ def explicit_limit_step(L, tab: IMEXTableau, u, dt):
     return u + dt * sum(be[i] * lu[i] for i in range(s))
 
 
-def factor_implicit(L, dt, theta=1.0):
-    """LU factorization of (I - theta*dt*L), reusable across steps."""
+def factor_implicit(L, dt):
+    """LU factorization of the midpoint matrix I - (dt/2) L, reusable
+    across steps."""
     n = L.shape[0]
-    return scipy.linalg.lu_factor(np.eye(n) - theta * dt * L)
-
-
-def implicit_euler_heat_step(L, u, dt, lu=None):
-    """Solve (I - dt L) u_next = u by dense LU with partial pivoting."""
-    if lu is None:
-        lu = factor_implicit(L, dt, theta=1.0)
-    return scipy.linalg.lu_solve(lu, u)
+    return scipy.linalg.lu_factor(np.eye(n) - 0.5 * dt * L)
 
 
 def implicit_midpoint_heat_step(L, u, dt, lu=None):
     """u_next = (I - dt/2 L)^{-1} (I + dt/2 L) u."""
     if lu is None:
-        lu = factor_implicit(L, dt, theta=0.5)
+        lu = factor_implicit(L, dt)
     return scipy.linalg.lu_solve(lu, u + (0.5 * dt) * (L @ u))

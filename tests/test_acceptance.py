@@ -42,6 +42,7 @@ from cutdg.experiments import (
 )
 
 from test_operators import (
+    local_block_error,
     oracle_background,
     oracle_dod_flux,
     oracle_dod_volume,
@@ -288,14 +289,12 @@ def test_criterion_9_oracle_equivalence():
                 scale = max(np.max(np.abs(want)), 1.0)
                 worst = max(worst, np.max(np.abs(got - want)) / scale)
                 for c in space.mesh.small_cells:
-                    g0 = assemble_dod_flux_mform(space, c, kind, 0.7)
-                    w0 = oracle_dod_flux(space, c, kind, 0.7)
-                    s0 = max(np.max(np.abs(w0)), 1.0)
-                    worst = max(worst, np.max(np.abs(g0 - w0)) / s0)
-                    g1 = assemble_dod_volume_mform(space, c, kind, 0.7)
-                    w1 = oracle_dod_volume(space, c, kind, 0.7, 0.5, 0.5)
-                    s1 = max(np.max(np.abs(w1)), 1.0)
-                    worst = max(worst, np.max(np.abs(g1 - w1)) / s1)
+                    worst = max(worst, local_block_error(
+                        assemble_dod_flux_mform(space, c, kind, 0.7),
+                        oracle_dod_flux(space, c, kind, 0.7)))
+                    worst = max(worst, local_block_error(
+                        assemble_dod_volume_mform(space, c, kind, 0.7),
+                        oracle_dod_volume(space, c, kind, 0.7, 0.5, 0.5)))
     ok = worst <= tol
     report(9, ok, f"assembled forms vs brute-force polynomial oracles"
                   f" (N=8, p<=2, all flux kinds): worst {worst:.2e} (tol {tol:g})")

@@ -64,6 +64,21 @@ def test_result_table_json_and_write_dispatch(tmp_path):
         t.write(path, "yaml")
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 1024, 2500])
+def test_written_json_loads_as_the_table(tmp_path, n_rows):
+    # rows are written in blocks of 1024; lists, since JSON loads a tuple
+    # back as a list
+    table = ResultTable(columns=("i", "x", "status"), metadata={
+        "config": {"alphas": [1e-7, 0.49]},
+        "steps": {"dod": {"dt": 0.1, "n_steps": 3}}})
+    for i in range(n_rows):
+        table.add(i=i, x=i / 7.0, status="ok")
+    path = tmp_path / "t.json"
+    table.write(path, "json")
+    with open(path) as fh:
+        assert json.load(fh) == {"metadata": table.metadata, "rows": table.rows}
+
+
 def test_weighted_condition_number_identity_and_oracle():
     assert weighted_condition_number(np.eye(4), np.ones(4)) == 1.0
     # diagonal A with diagonal M: kappa is the ratio of extreme |entries|
@@ -365,7 +380,7 @@ def test_run_heat_implicit_matches_lu_step_loop():
         ops = operator_pair(space, "mp", eta=eta)
         L = heat_system(ops)
         dt = mesh.background_dx / 30.0
-        lu = factor_implicit(L, dt, theta=0.5)
+        lu = factor_implicit(L, dt)
         rho = project(space, np.cos)
         t = 0.0
         want = [(t, np.max(np.abs(rho)), l2_norm_of_vector(space, rho, ops.mass_diag))]
@@ -405,6 +420,12 @@ def test_run_sbp_report_grid():
                            epsilon=0.1)
     assert len(table.rows) == 2 * 2 * 3  # p x alpha x eta
     assert all(r["passed"] for r in table.rows)
+
+
+def test_run_sbp_report_rejects_a_cut_without_a_small_cell():
+    with pytest.raises(ValueError,
+                       match="alpha=0.5: the cut makes no small cell"):
+        run_sbp_report(degrees=(0,), cells=8, alphas=(0.5,))
 
 
 @pytest.mark.parametrize("runner, kwargs", [

@@ -190,29 +190,41 @@ def test_background_matches_oracle(p, kind, cuts):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+# the small cell is cell 0, so its left neighbor c-1 wraps around
+SMALL_CELL_0 = [(0, 0.3, "left")]
+
+
+def local_block_error(form, oracle):
+    """Relative error of a small-cell form's (dofs, block) against its dense
+    oracle, which must be exactly zero outside the block."""
+    dofs, block = form
+    outside = np.ones(oracle.shape, dtype=bool)
+    outside[np.ix_(dofs, dofs)] = False
+    assert not np.any(oracle[outside])
+    want = oracle[np.ix_(dofs, dofs)]
+    return np.max(np.abs(block - want)) / max(np.max(np.abs(want)), 1.0)
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("kind", [UPWIND, DOWNWIND, CENTRAL])
-@pytest.mark.parametrize("cuts", MESH_CASES[1:])
+@pytest.mark.parametrize("cuts", MESH_CASES[1:] + [SMALL_CELL_0])
 def test_dod_flux_matches_oracle(p, kind, cuts):
     space = make_space(p, cuts)
     for c in space.mesh.small_cells:
-        got = assemble_dod_flux_mform(space, c, kind, 0.7)
-        want = oracle_dod_flux(space, c, kind, 0.7)
-        scale = max(np.max(np.abs(want)), 1.0)
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert local_block_error(assemble_dod_flux_mform(space, c, kind, 0.7),
+                                 oracle_dod_flux(space, c, kind, 0.7)) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("kind", [UPWIND, DOWNWIND, CENTRAL])
 @pytest.mark.parametrize("lr", [(0.5, 0.5), (1.0, 0.0), (0.25, 0.75)])
-@pytest.mark.parametrize("cuts", MESH_CASES[1:3])
+@pytest.mark.parametrize("cuts", MESH_CASES[1:3] + [SMALL_CELL_0])
 def test_dod_volume_matches_oracle(p, kind, lr, cuts):
     space = make_space(p, cuts)
     for c in space.mesh.small_cells:
-        got = assemble_dod_volume_mform(space, c, kind, 0.7, *lr)
-        want = oracle_dod_volume(space, c, kind, 0.7, *lr)
-        scale = max(np.max(np.abs(want)), 1.0)
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert local_block_error(
+            assemble_dod_volume_mform(space, c, kind, 0.7, *lr),
+            oracle_dod_volume(space, c, kind, 0.7, *lr)) <= 1e-12
 
 
 def loop_background(space, kind):
@@ -259,15 +271,17 @@ def test_background_and_mass_equal_the_cell_loops(n, cuts, p):
     assert np.array_equal(mass_diagonal(space), loop_mass_diagonal(space))
 
 
-def test_stabilized_is_sum_of_parts():
+@pytest.mark.parametrize("kind", [UPWIND, DOWNWIND, CENTRAL])
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)])
+def test_stabilized_is_sum_of_parts(weights, kind):
     space = make_space(2, [(2, 0.3, "left")])
     eta = {c: 0.6 for c in space.mesh.small_cells}
     md = mass_diagonal(space)
-    got = md[:, None] * assemble_stabilized(space, UPWIND, eta)
-    want = oracle_background(space, UPWIND)
+    got = md[:, None] * assemble_stabilized(space, kind, eta, weights)
+    want = oracle_background(space, kind)
     for c in space.mesh.small_cells:
-        want += oracle_dod_flux(space, c, UPWIND, 0.6)
-        want += oracle_dod_volume(space, c, UPWIND, 0.6, 0.5, 0.5)
+        want += oracle_dod_flux(space, c, kind, 0.6)
+        want += oracle_dod_volume(space, c, kind, 0.6, *weights)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -12,7 +12,6 @@ from cutdg.time_integration import (
     explicit_limit_step,
     factor_implicit,
     imex_step,
-    implicit_euler_heat_step,
     implicit_midpoint_heat_step,
     stable_ars_step,
 )
@@ -247,17 +246,6 @@ def test_explicit_limit_step_on_heat_operator_decays():
     assert np.max(np.abs(u)) < 1.0  # strictly decaying, no instability
 
 
-def test_implicit_euler_heat_step_solves_the_system():
-    mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
-    ops = operator_pair(build_space(mesh, 1), "mp")
-    L = heat_system(ops)
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(L.shape[0])
-    dt = 0.05
-    nxt = implicit_euler_heat_step(L, u, dt)
-    assert np.allclose(nxt - dt * (L @ nxt), u, atol=1e-10)
-
-
 def test_implicit_midpoint_heat_step_and_lu_reuse():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
@@ -266,7 +254,7 @@ def test_implicit_midpoint_heat_step_and_lu_reuse():
     u = rng.standard_normal(L.shape[0])
     dt = 0.05
     direct = implicit_midpoint_heat_step(L, u, dt)
-    lu = factor_implicit(L, dt, theta=0.5)
+    lu = factor_implicit(L, dt)
     reused = implicit_midpoint_heat_step(L, u, dt, lu=lu)
     assert np.array_equal(direct, reused)
     # defining relation (I - dt/2 L) u1 = (I + dt/2 L) u0
