@@ -96,9 +96,11 @@ def well_prepared_init(space: DGSpace, opset: OperatorSet, rho0):
 
 
 def energy(opset: OperatorSet, state, eps):
-    """Squared weighted norm rho^T M rho + eps^2 gt^T M gt."""
+    """Squared weighted norm rho^T M rho + eps^2 gt^T M gt; states shaped
+    (trials, n) give one energy per row."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
     rho, gt = state
     m = opset.mass_diag
-    return float(rho @ (m * rho) + eps**2 * (gt @ (m * gt)))
+    return (np.sum(rho * (m * rho), axis=-1)
+            + eps**2 * np.sum(gt * (m * gt), axis=-1))

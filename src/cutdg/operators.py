@@ -34,7 +34,6 @@ from .dg_space import DGSpace
 UPWIND = "-"
 DOWNWIND = "+"
 CENTRAL = "z"
-FLUX_KINDS = (UPWIND, DOWNWIND, CENTRAL)
 
 # Per-cell stabilization strength: eta_c = 1 - alpha / lambda(p).
 LAMBDA_C = {0: 1.0, 1: 0.55}

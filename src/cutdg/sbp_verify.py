@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import energy
 from .operators import (
     OperatorSet,
     assemble_stabilized,
@@ -86,6 +87,9 @@ def check_energy_decay(opset: OperatorSet, eps, trials=200, rng_seed=0):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if trials < 1:
+        # the maximum over no states would certify any operator
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
     m = opset.mass_diag
     # one draw in (trial, rho/gt, dof) order gives the states of drawing
     # rho, then gt, trial after trial
@@ -97,8 +101,7 @@ def check_energy_decay(opset: OperatorSet, eps, trials=200, rng_seed=0):
               + (gt @ opset.d_diff.T) / (2.0 * eps))
     deriv = (2.0 * np.sum(rho * (m * rho_dot), axis=1)
              + 2.0 * eps**2 * np.sum(gt * (m * gt_dot), axis=1))
-    en = np.sum(rho * (m * rho), axis=1) + eps**2 * np.sum(gt * (m * gt), axis=1)
-    return float(np.max(deriv / en, initial=-np.inf))
+    return float(np.max(deriv / energy(opset, (rho, gt), eps)))
 
 
 def p0_closed_form(space, alpha, eta_c):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 TYPE_I = "type I"
 TYPE_II = "type II"
@@ -234,14 +233,12 @@ def explicit_limit_step(L, tab: IMEXTableau, u, dt):
 
 
 def factor_implicit(L, dt):
-    """LU factorization of the midpoint matrix I - (dt/2) L, reusable
-    across steps."""
-    n = L.shape[0]
-    return scipy.linalg.lu_factor(np.eye(n) - 0.5 * dt * L)
+    """The midpoint matrix I - (dt/2) L, the left side of every implicit
+    midpoint step."""
+    return np.eye(L.shape[0]) - 0.5 * dt * L
 
 
-def implicit_midpoint_heat_step(L, u, dt, lu=None):
-    """u_next = (I - dt/2 L)^{-1} (I + dt/2 L) u."""
-    if lu is None:
-        lu = factor_implicit(L, dt)
-    return scipy.linalg.lu_solve(lu, u + (0.5 * dt) * (L @ u))
+def implicit_midpoint_heat_step(L, u, dt):
+    """u_next = (I - dt/2 L)^{-1} (I + dt/2 L) u; u may be (n,) or (n, m),
+    and one LU factorization serves all m columns."""
+    return np.linalg.solve(factor_implicit(L, dt), u + (0.5 * dt) * (L @ u))

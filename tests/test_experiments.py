@@ -1,9 +1,14 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cutdg
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
 from cutdg.operators import default_eta, operator_pair
@@ -11,7 +16,7 @@ from cutdg.models import (decay_rate, heat_system, telegraph_system,
                           well_prepared_init)
 from cutdg.time_integration import (
     builtin_tableau,
-    factor_implicit,
+    imex_step,
     implicit_midpoint_heat_step,
     stable_ars_step,
 )
@@ -116,6 +121,17 @@ def test_telegraph_step_matrix_reproduces_stepper():
     via_matrix = S @ np.concatenate((rho, gt))
     assert np.allclose(via_matrix[:n], direct[0], atol=1e-13)
     assert np.allclose(via_matrix[n:], direct[1], atol=1e-13)
+
+
+def test_telegraph_step_matrix_steps_with_the_plain_imex_step_for_ssp2():
+    mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
+    ops = operator_pair(build_space(mesh, 1), "mp")
+    system = telegraph_system(ops, 0.1)
+    tab = builtin_tableau("SSP2-332")
+    n = ops.Dz.shape[0]
+    eye = np.eye(2 * n)
+    want = np.concatenate(imex_step(system, tab, (eye[:n], eye[n:]), 1e-3))
+    assert np.array_equal(telegraph_step_matrix(system, tab, 1e-3), want)
 
 
 def test_propagate_matches_step_loop_including_remainder():
@@ -369,7 +385,7 @@ def test_run_heat_implicit_profiles_and_decay():
 
 def test_run_heat_implicit_matches_lu_step_loop():
     table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
-    # rtol per variant: the step-matrix product and the LU solve round
+    # rtol per variant: the step-matrix product and a solve per step round
     # differently, and the unstabilized operator amplifies that roundoff
     rtol = {"background": 1e-10, "unstabilized": 1e-3, "dod": 1e-10}
     for variant, tol in rtol.items():
@@ -380,15 +396,17 @@ def test_run_heat_implicit_matches_lu_step_loop():
         ops = operator_pair(space, "mp", eta=eta)
         L = heat_system(ops)
         dt = mesh.background_dx / 30.0
-        lu = factor_implicit(L, dt)
         rho = project(space, np.cos)
-        t = 0.0
-        want = [(t, np.max(np.abs(rho)), l2_norm_of_vector(space, rho, ops.mass_diag))]
+        want = [(0.0, np.max(np.abs(rho)),
+                 l2_norm_of_vector(space, rho, ops.mass_diag))]
         t_final = SMALL_HEAT_IMPLICIT["t_final"]
-        while t < t_final - 1e-12:
-            h = min(dt, t_final - t)
-            rho = implicit_midpoint_heat_step(L, rho, h, lu=lu if h == dt else None)
-            t += h
+        # 76 full steps of dt = 2 pi / 480 fit in t_final = 1; the closing
+        # step is the rest
+        n_full = 76
+        schedule = [(k * dt, dt) for k in range(1, n_full + 1)]
+        schedule.append((t_final, t_final - n_full * dt))
+        for t, h in schedule:
+            rho = implicit_midpoint_heat_step(L, rho, h)
             want.append((t, np.max(np.abs(rho)),
                          l2_norm_of_vector(space, rho, ops.mass_diag)))
         got = [r for r in table.rows if r["variant"] == variant]
@@ -408,6 +426,18 @@ def test_run_heat_implicit_records_steps_per_variant(t_final):
         rows = [r for r in table.rows if r["variant"] == variant]
         assert rec["n_steps"] == len(rows) - 1
         assert rec["dt"] == pytest.approx(2 * np.pi / 16 / 30)
+
+
+def test_run_heat_implicit_takes_no_step_past_a_whole_number_of_steps():
+    # t_final is exactly 781 steps; summing t += dt falls short of it by
+    # roundoff, which must not add a 782nd step of about 1e-12
+    dt = 2 * np.pi / 8 / 10
+    table = run_heat_implicit(p=0, cells=8, alphas=(0.3,), t_final=781 * dt)
+    for variant, rec in table.metadata["steps"].items():
+        assert rec["dt"] == dt
+        assert rec["n_steps"] == 781
+        rows = [r for r in table.rows if r["variant"] == variant]
+        assert [r["t"] for r in rows] == [k * dt for k in range(782)]
 
 
 def test_run_heat_implicit_rejects_negative_t_final():
@@ -564,6 +594,18 @@ def test_cli_rejects_a_mesh_or_degree_out_of_range(argv, message, capsys):
         cli.main(argv.split())
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, because the tests load scipy into this one
+    src = str(Path(cutdg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, cutdg.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_rejects_unknown_subcommand():

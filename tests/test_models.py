@@ -139,6 +139,16 @@ def test_energy_matches_quadrature_oracle():
     assert got == pytest.approx(want, rel=1e-3)
 
 
+def test_energy_of_a_batch_is_the_energy_of_each_row():
+    ops = make_ops(p=2)
+    rng = np.random.default_rng(3)
+    rho, gt = rng.standard_normal((2, 5, ops.Dz.shape[0]))
+    got = energy(ops, (rho, gt), 0.3)
+    assert got.shape == (5,)
+    want = [energy(ops, (r, g), 0.3) for r, g in zip(rho, gt)]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
 def test_energy_rejects_negative_eps():
     ops = make_ops()
     state = (np.zeros(ops.Dz.shape[0]), np.zeros(ops.Dz.shape[0]))

@@ -120,6 +120,12 @@ def test_energy_decay_eps_validation():
         check_energy_decay(make_ops(0, 0.3), 0.0)
 
 
+def test_sbp_report_rejects_zero_trials():
+    # the maximum over no random states would pass any operator set
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sbp_report(make_ops(0, 0.3), trials=0)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1e-3, 1 - 1e-3])
 def test_p0_closed_form_matches_assembly(alpha):
     a = min(alpha, 1.0 - alpha)

@@ -246,17 +246,16 @@ def test_explicit_limit_step_on_heat_operator_decays():
     assert np.max(np.abs(u)) < 1.0  # strictly decaying, no instability
 
 
-def test_implicit_midpoint_heat_step_and_lu_reuse():
+def test_implicit_midpoint_heat_step_solves_the_midpoint_system():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
     L = heat_system(ops)
     rng = np.random.default_rng(8)
-    u = rng.standard_normal(L.shape[0])
+    n = L.shape[0]
+    u = rng.standard_normal(n)
     dt = 0.05
+    assert np.array_equal(factor_implicit(L, dt), np.eye(n) - 0.5 * dt * L)
     direct = implicit_midpoint_heat_step(L, u, dt)
-    lu = factor_implicit(L, dt)
-    reused = implicit_midpoint_heat_step(L, u, dt, lu=lu)
-    assert np.array_equal(direct, reused)
     # defining relation (I - dt/2 L) u1 = (I + dt/2 L) u0
     lhs = direct - 0.5 * dt * (L @ direct)
     rhs = u + 0.5 * dt * (L @ u)
