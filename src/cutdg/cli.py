@@ -103,8 +103,10 @@ def _check_asymptotic(table):
     failures = []
     keys = {(r["tableau"], r["p"]) for r in table.rows}
     for key in sorted(keys):
-        diffs = [r["diff_l2"] for r in table.rows
-                 if (r["tableau"], r["p"]) == key]
+        # the flags may give the epsilons in any order
+        rows = sorted((r for r in table.rows if (r["tableau"], r["p"]) == key),
+                      key=lambda r: -r["epsilon"])
+        diffs = [r["diff_l2"] for r in rows]
         if any(b >= a for a, b in zip(diffs, diffs[1:])):
             failures.append(f"difference not monotone for tableau={key[0]} p={key[1]}")
     return failures
@@ -202,6 +204,10 @@ def _runner_kwargs(parser, args, flags):
             if len(values) > 1:
                 parser.error(f"{args.command}: --{flag} takes one value")
             values = values[0]
+        elif len(set(values)) < len(values):
+            # a repeated value adds no case, only rows that an order or
+            # the monotonicity check would compare with themselves
+            parser.error(f"{args.command}: --{flag} values must be distinct")
         if keyword is not None:
             kwargs[keyword] = values
     return kwargs

@@ -13,6 +13,8 @@ import numpy as np
 from .mesh import CutCellMesh
 
 MAX_DEGREE = 10
+# l2_error integrates with p + L2_EXTRA_POINTS Gauss points per cell
+L2_EXTRA_POINTS = 4
 
 
 def gauss_legendre(n):
@@ -146,16 +148,15 @@ def project(space: DGSpace, f):
     return np.asarray(f(space.nodes)).reshape(-1).astype(float)
 
 
-def l2_error(space: DGSpace, u, exact, quad_boost=4):
+def l2_error(space: DGSpace, u, exact):
     """Global L2 error between the DG function u and a callable exact.
 
-    Uses a (p + quad_boost)-point Gauss rule per cell, evaluated for all
-    cells at once: exact receives the quadrature points as a 2-D array of
-    shape (n_cells, p + quad_boost) and must return values of that shape.
+    Uses a (p + L2_EXTRA_POINTS)-point Gauss rule per cell, evaluated for
+    all cells at once: exact receives the quadrature points as a 2-D array
+    of shape (n_cells, p + L2_EXTRA_POINTS) and must return values of that
+    shape.
     """
-    if quad_boost < 2:
-        raise ValueError("quad_boost must be at least 2")
-    qn, qw = gauss_legendre(space.degree + quad_boost)
+    qn, qw = gauss_legendre(space.degree + L2_EXTRA_POINTS)
     uh = np.asarray(u).reshape(space.mesh.n_cells, -1) @ space.basis_at_ref(qn).T
     v = space.mesh.vertices
     h = v[1:] - v[:-1]

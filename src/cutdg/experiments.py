@@ -68,9 +68,6 @@ class ResultTable:
             raise ValueError(f"row is missing columns {sorted(missing)}")
         self.rows.append({c: kwargs[c] for c in self.columns})
 
-    def column(self, name):
-        return [r[name] for r in self.rows]
-
     def csv_lines(self):
         """Header line and one line per row; floats keep 17 digits."""
         def fmt(v):
@@ -246,12 +243,16 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
                     epsilons=(1e-1, 1e-3), t_final=1.0,
                     tableau="ARS443") -> ResultTable:
     """L2 errors and orders against the exact telegraph solution; rows
-    with epsilon == 0.0 integrate the explicit heat limit instead.
+    with epsilon == 0.0 integrate the explicit heat limit instead. An
+    order compares a row with the previous cell count, per halving of dx,
+    so the distinct cell counts need not double.
 
     metadata["steps"] holds one record per row: the case keys, dt and the
     number of full steps (a shorter closing step follows when t_final is
     not a whole number of steps).
     """
+    if len(set(cells)) < len(cells):
+        raise ValueError(f"cells must be distinct, got {cells!r}")
     table = ResultTable(
         columns=("pairing", "p", "epsilon", "n_background", "dx",
                  "err_rho", "err_gt", "eoc_rho", "eoc_gt", "status"),
@@ -306,15 +307,17 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
                         status = "unstable"
                     eoc_rho = eoc_gt = float("nan")
                     if prev is not None and status == "ok" and prev[0] == "ok":
-                        eoc_rho = float(np.log2(prev[1] / err_rho))
+                        # orders per halving of dx; 1.0 when N doubles
+                        halvings = np.log2(n_bg / prev[3])
+                        eoc_rho = float(np.log2(prev[1] / err_rho) / halvings)
                         if err_gt > 0 and prev[2] > 0:
-                            eoc_gt = float(np.log2(prev[2] / err_gt))
+                            eoc_gt = float(np.log2(prev[2] / err_gt) / halvings)
                     table.add(
                         pairing=pairing, p=p, epsilon=eps, n_background=n_bg,
                         dx=dx, err_rho=err_rho, err_gt=err_gt,
                         eoc_rho=eoc_rho, eoc_gt=eoc_gt, status=status,
                     )
-                    prev = (status, err_rho, err_gt)
+                    prev = (status, err_rho, err_gt, n_bg)
     return table
 
 

@@ -1,6 +1,6 @@
 """Periodic 1D cut-cell meshes over a uniform background grid."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,7 @@ class CutCellMesh:
     """Periodic partition of [domain_left, domain_right] with cut cells.
 
     Cells are ordered left to right; index arithmetic wraps modulo the
-    number of cells. ``cut_spec`` records (background index, alpha, side)
-    so a mesh can be rebuilt bitwise-identically.
+    number of cells.
     """
 
     domain_left: float
@@ -31,7 +30,6 @@ class CutCellMesh:
     cell_sizes: np.ndarray
     background_dx: float
     small_cells: tuple
-    cut_spec: tuple = field(default=())
 
     @property
     def n_cells(self) -> int:
@@ -115,12 +113,11 @@ def build_cut_cell_mesh(domain_left, domain_right, n_background, cuts=()):
         cell_sizes=cell_sizes,
         background_dx=dx,
         small_cells=small,
-        cut_spec=cuts,
     )
 
 
-def evenly_spaced_cuts(n_background, alphas, side="left"):
-    """Place one cut per alpha at evenly spaced background indices."""
+def evenly_spaced_cuts(n_background, alphas):
+    """Place one left cut per alpha at evenly spaced background indices."""
     alphas = list(alphas)
     k = len(alphas)
     if k == 0:
@@ -128,4 +125,4 @@ def evenly_spaced_cuts(n_background, alphas, side="left"):
     if n_background < 2 * k:
         raise MeshError(f"{k} cuts need at least {2 * k} background cells")
     idx = [(j * n_background) // k for j in range(k)]
-    return tuple((i, a, side) for i, a in zip(idx, alphas))
+    return tuple((i, a, "left") for i, a in zip(idx, alphas))

@@ -48,11 +48,6 @@ class TelegraphSystem:
         rho, gt = state
         return np.zeros_like(rho), -(self.d_gt @ rho + gt) / self.eps**2
 
-    def rhs(self, state):
-        fr, fg = self.explicit_rhs(state)
-        gr, gg = self.implicit_rhs(state)
-        return fr + gr, fg + gg
-
 
 def telegraph_system(opset: OperatorSet, eps) -> TelegraphSystem:
     if eps <= 0:

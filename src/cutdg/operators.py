@@ -15,14 +15,15 @@ coupling of cells (c-1, c, c+1) with their global dofs, and
 assemble_stabilized adds the flux block and then the volume block of each
 small cell, in mesh order, into the background B.
 
-The stabilized operators come in two flavors:
-  * "naive" (assemble_stabilized): background + small-cell correction
-    terms, directly as defined.
-    With central fluxes this is already skew-symmetric under M; the upwind
-    pair is generally not dual for p >= 1.
-  * "symmetrized": central part plus the M-symmetrized half of the
-    dissipation part, which restores the dual-pair (upwind SBP) structure
-    for every degree.
+assemble_stabilized builds the stabilized derivative of one flux kind,
+background plus small-cell corrections, directly as defined; with central
+fluxes it is already skew-symmetric under M. operator_pair builds the
+upwind pair the same way for every degree: split_dissipation writes the
+stabilized upwind and downwind operators as Dz +/- Ddiss, and
+symmetrize_upwind_pair keeps the central part and the M-symmetrized half
+of the dissipation part, which makes the pair dual and dissipative
+(upwind SBP). At p = 0 the stabilized pair is already one, and the
+symmetrization moves it only by its roundoff ridge.
 """
 
 from dataclasses import dataclass
@@ -38,6 +39,11 @@ CENTRAL = "z"
 # Per-cell stabilization strength: eta_c = 1 - alpha / lambda(p).
 LAMBDA_C = {0: 1.0, 1: 0.55}
 LAMBDA_C_HIGH = 0.45  # extension for p >= 2
+
+# Relative tolerance, on the scale max(|M Dz|, 1), of the identities that
+# split_dissipation and symmetrize_upwind_pair check: consistent inputs
+# leave roundoff of a few eps (~1e-15), inconsistent assembly inputs O(1).
+PAIR_TOL = 1e-10
 
 
 def lambda_c(p):
@@ -222,26 +228,26 @@ def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
     return B / mass_diagonal(space)[:, None]
 
 
-def split_dissipation(d_naive_plus, d_naive_minus, d_central, mass_diag,
-                      tol=1e-10):
-    """Dissipation operator with D_naive^-/+ = Dz +/- Ddiss (L_c = R_c = 1/2).
+def split_dissipation(d_plus, d_minus, d_central, mass_diag):
+    """Dissipation operator with D^-/+ = Dz +/- Ddiss (L_c = R_c = 1/2) for
+    the stabilized upwind/downwind operators D^-/+.
 
     The decomposition identity against the central operator is verified in
     the M-weighted norm; a large residual indicates inconsistent assembly
     inputs.
     """
-    ddiss = 0.5 * (d_naive_minus - d_naive_plus)
-    resid_mat = mass_diag[:, None] * (0.5 * (d_naive_minus + d_naive_plus) - d_central)
+    ddiss = 0.5 * (d_minus - d_plus)
+    resid_mat = mass_diag[:, None] * (0.5 * (d_minus + d_plus) - d_central)
     resid = np.max(np.abs(resid_mat))
     scale = max(np.max(np.abs(mass_diag[:, None] * d_central)), 1.0)
-    if resid > tol * scale:
+    if resid > PAIR_TOL * scale:
         raise RuntimeError(
             f"dissipation split residual {resid:.3e} exceeds tolerance"
         )
     return ddiss
 
 
-def symmetrize_upwind_pair(d_central, d_diss, mass_diag, tol=1e-10):
+def symmetrize_upwind_pair(d_central, d_diss, mass_diag):
     """Symmetrized upwind pair (D^{+,symm}, D^{-,symm}).
 
     S = sym(M Ddiss); D^{+,symm} = Dz - M^{-1} S, D^{-,symm} = Dz + M^{-1} S.
@@ -262,7 +268,7 @@ def symmetrize_upwind_pair(d_central, d_diss, mass_diag, tol=1e-10):
     dm = (bz + s) / mass_diag[:, None]
     dual = mass_diag[:, None] * dp + (mass_diag[:, None] * dm).T
     scale = max(np.max(np.abs(bz)), 1.0)
-    if np.max(np.abs(dual)) > tol * scale:
+    if np.max(np.abs(dual)) > PAIR_TOL * scale:
         raise RuntimeError("symmetrized pair fails the duality identity")
     return dp, dm
 
@@ -297,9 +303,9 @@ class OperatorSet:
 def operator_pair(space, pairing, eta=None):
     """Assemble everything and select the (D^rho, D^gt) pair.
 
-    For p = 0 the classic (un-symmetrized) DoD pair already has the upwind
-    SBP property, so it is used directly; for p >= 1 the alternating
-    pairings use the symmetrized operators.
+    Every degree takes the symmetrized pair (Dp_symm, Dm_symm) of the
+    stabilized downwind and upwind operators; "mp" and "pm" select it in
+    either order, and "central" takes Dz for both equations.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
@@ -309,11 +315,8 @@ def operator_pair(space, pairing, eta=None):
     dz = assemble_stabilized(space, CENTRAL, eta)
     dp = assemble_stabilized(space, DOWNWIND, eta)
     dm = assemble_stabilized(space, UPWIND, eta)
-    ddiss = split_dissipation(dp, dm, dz, mass_diag=mdiag)
-    if space.degree == 0:
-        dp_symm, dm_symm = dp, dm
-    else:
-        dp_symm, dm_symm = symmetrize_upwind_pair(dz, ddiss, mdiag)
+    dp_symm, dm_symm = symmetrize_upwind_pair(
+        dz, split_dissipation(dp, dm, dz, mdiag), mdiag)
 
     if pairing == "mp":
         d_rho, d_gt = dm_symm, dp_symm

@@ -31,8 +31,6 @@ class IMEXTableau:
     a_impl: np.ndarray
     b_expl: np.ndarray
     b_impl: np.ndarray
-    c_expl: np.ndarray
-    c_impl: np.ndarray
 
     @property
     def s(self) -> int:
@@ -118,8 +116,6 @@ def builtin_tableau(name: str) -> IMEXTableau:
         a_impl=a_impl,
         b_expl=b_expl,
         b_impl=b_impl,
-        c_expl=a_expl.sum(axis=1),
-        c_impl=a_impl.sum(axis=1),
     ).validate()
 
 

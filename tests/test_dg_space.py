@@ -3,6 +3,7 @@ import pytest
 
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import (
+    L2_EXTRA_POINTS,
     build_space,
     gauss_legendre,
     barycentric_weights,
@@ -98,9 +99,9 @@ def test_l2_error_converges_spectrally():
     assert np.all(rates > 2.7)
 
 
-def _l2_error_cell_loop(space, u, exact, quad_boost=4):
+def _l2_error_cell_loop(space, u, exact):
     # the per-cell reference loop l2_error replaced
-    qn, qw = gauss_legendre(space.degree + quad_boost)
+    qn, qw = gauss_legendre(space.degree + L2_EXTRA_POINTS)
     total = 0.0
     for i in range(space.mesh.n_cells):
         xl, xr = space.mesh.cell_bounds(i)
@@ -119,12 +120,8 @@ def test_l2_error_matches_cell_loop_on_cut_mesh(p):
     space = build_space(mesh, p)
     u = project(space, np.cos) + np.random.default_rng(p).standard_normal(
         space.n_dofs)
-    for quad_boost in (2, 4):
-        want = _l2_error_cell_loop(space, u, np.sin, quad_boost)
-        assert l2_error(space, u, np.sin, quad_boost) == pytest.approx(
-            want, rel=1e-13, abs=0)
-    with pytest.raises(ValueError, match="quad_boost"):
-        l2_error(space, u, np.sin, quad_boost=1)
+    want = _l2_error_cell_loop(space, u, np.sin)
+    assert l2_error(space, u, np.sin) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_build_space_validates_degree():

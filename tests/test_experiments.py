@@ -41,7 +41,7 @@ def test_result_table_add_and_column():
     t = ResultTable(columns=("a", "b"))
     t.add(a=1, b=2.0)
     t.add(b=4.0, a=3)
-    assert t.column("a") == [1, 3]
+    assert [r["a"] for r in t.rows] == [1, 3]
     with pytest.raises(ValueError, match="missing"):
         t.add(a=5)
 
@@ -299,6 +299,23 @@ def test_run_convergence_records_steps_per_case():
     json.dumps(table.metadata)  # the records serialize with the table
 
 
+def test_run_convergence_order_over_a_skipped_cell_count_is_the_mean_order():
+    # 16 -> 64 halves dx twice, so its order is the mean of the orders of
+    # 16 -> 32 and 32 -> 64, not their sum
+    case = dict(degrees=(0,), epsilons=(0.1,))
+    skip = run_convergence(**case, cells=(16, 64)).rows
+    every = run_convergence(**case, cells=(16, 32, 64)).rows
+    for col in ("eoc_rho", "eoc_gt"):
+        mean = 0.5 * (every[1][col] + every[2][col])
+        assert skip[1][col] == pytest.approx(mean, rel=0, abs=1e-12)
+    assert skip[1]["eoc_rho"] < 1.5  # a first-order scheme
+
+
+def test_run_convergence_rejects_a_repeated_cell_count():
+    with pytest.raises(ValueError, match="distinct"):
+        run_convergence(**dict(SMALL_CONVERGENCE, cells=(16, 16)))
+
+
 def test_run_asymptotic_records_steps_per_case():
     table = run_asymptotic(**dict(SMALL_ASYMPTOTIC, degrees=(0, 1),
                                   t_final=0.2))
@@ -357,7 +374,7 @@ def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
 def test_run_asymptotic_monotone_in_eps():
     table = run_asymptotic(**dict(SMALL_ASYMPTOTIC,
                                   epsilons=(1e-1, 1e-2, 1e-3), t_final=0.2))
-    diffs = table.column("diff_l2")
+    diffs = [r["diff_l2"] for r in table.rows]
     assert len(diffs) == 3
     assert diffs[0] > diffs[1] > diffs[2] > 0.0
 
@@ -376,7 +393,7 @@ SMALL_HEAT_IMPLICIT = dict(p=1, cells=16, alphas=(1e-3,), t_final=1.0)
 
 def test_run_heat_implicit_profiles_and_decay():
     table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
-    variants = set(table.column("variant"))
+    variants = {r["variant"] for r in table.rows}
     assert variants == {"background", "unstabilized", "dod"}
     dod_rows = [r for r in table.rows if r["variant"] == "dod"]
     assert max(r["max_abs_rho"] for r in dod_rows) <= 1.0 + 1e-6
@@ -524,6 +541,44 @@ def test_cli_convergence_rejects_a_single_cell_count(capsys):
                   "--epsilon", "0.1"])
     assert exc.value.code == 2
     assert "at least two --cells values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("convergence --p 0 --cells 16 --cells 32 --cells 16 --epsilon 0.1",
+     "--cells"),
+    ("asymptotic --cells 16 --p 0 --epsilon 0.1 --epsilon 0.1", "--epsilon"),
+    ("condition --cells 16 --p 0 --p 0", "--p"),
+])
+def test_cli_rejects_a_repeated_value_of_a_repeatable_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert f"{flag} values must be distinct" in capsys.readouterr().err
+
+
+def test_cli_asymptotic_passes_with_epsilons_given_in_increasing_order(capsys):
+    rc = cli.main(["asymptotic", "--cells", "16", "--p", "1",
+                   "--epsilon", "0.01", "--epsilon", "0.1"])
+    assert rc == 0
+    assert "FAIL" not in capsys.readouterr().err
+
+
+def _asymptotic_table(eps_and_diffs):
+    table = ResultTable(columns=("tableau", "p", "epsilon", "diff_l2",
+                                 "stepper"))
+    for eps, diff in eps_and_diffs:
+        table.add(tableau="ARS443", p=1, epsilon=eps, diff_l2=diff,
+                  stepper="stable_ars_step")
+    return table
+
+
+def test_asymptotic_check_orders_by_epsilon_and_fails_a_non_monotone_table():
+    monotone = [(1e-2, 1e-4), (1e-1, 1e-2), (1e-3, 1e-6)]
+    assert cli._check_asymptotic(_asymptotic_table(monotone)) == []
+    # eps = 1e-2 sits further from the heat limit than eps = 1e-1
+    not_monotone = [(1e-2, 1e-1), (1e-1, 1e-2), (1e-3, 1e-6)]
+    (failure,) = cli._check_asymptotic(_asymptotic_table(not_monotone))
+    assert "not monotone for tableau=ARS443 p=1" in failure
 
 
 @pytest.mark.parametrize("command, flag, values", [

@@ -92,10 +92,3 @@ def test_evenly_spaced_cuts_layout():
     assert [c[1] for c in cuts] == [0.1, 0.2, 0.3]
     with pytest.raises(MeshError):
         evenly_spaced_cuts(4, [0.1, 0.2, 0.3])
-
-
-def test_cut_spec_rebuilds_identical_mesh():
-    mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(1, 1e-3, "left"), (5, 0.4, "right")])
-    again = build_cut_cell_mesh(-np.pi, np.pi, 8, mesh.cut_spec)
-    assert np.array_equal(mesh.vertices, again.vertices)
-    assert np.array_equal(mesh.cell_sizes, again.cell_sizes)

@@ -28,6 +28,7 @@ from cutdg.operators import (
     split_dissipation,
     symmetrize_upwind_pair,
 )
+from cutdg.sbp_verify import check_upwind_sbp
 
 FLUX = {UPWIND: (1.0, 0.0), DOWNWIND: (0.0, 1.0), CENTRAL: (0.5, 0.5)}
 
@@ -403,8 +404,26 @@ def test_operator_pair_rejects_unknown_pairing():
         operator_pair(space, "zz")
 
 
-def test_p0_uses_unsymmetrized_pair():
-    space = make_space(0, [(2, 0.3, "left")])
-    ops = operator_pair(space, "mp")
-    assert np.array_equal(ops.Dp_symm, assemble_stabilized(space, DOWNWIND, ops.eta))
-    assert np.array_equal(ops.Dm_symm, assemble_stabilized(space, UPWIND, ops.eta))
+P0_MESHES = {
+    "single-cut": build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")]),
+    "5-cut": build_cut_cell_mesh(-np.pi, np.pi, 16, evenly_spaced_cuts(
+        16, (1e-7, 1e-3, 1e-1, 0.3, 0.49))),
+}
+
+
+@pytest.mark.parametrize("mesh", P0_MESHES, ids=list(P0_MESHES))
+@pytest.mark.parametrize("eta_c", [0.0, 0.5, None], ids=["0", "0.5", "default"])
+def test_p0_symmetrized_pair_is_the_stabilized_pair(mesh, eta_c):
+    # at p = 0 the stabilized pair is already dual, so the symmetrization
+    # moves it only by its roundoff ridge, and the pair stays dissipative
+    space = build_space(P0_MESHES[mesh], 0)
+    eta = (None if eta_c is None
+           else {c: eta_c for c in space.mesh.small_cells})
+    ops = operator_pair(space, "mp", eta=eta)
+    md = ops.mass_diag
+    scale = np.max(np.abs(md[:, None] * ops.Dz))
+    for got, kind in ((ops.Dp_symm, DOWNWIND), (ops.Dm_symm, UPWIND)):
+        want = assemble_stabilized(space, kind, ops.eta)
+        assert np.max(np.abs(md[:, None] * (got - want))) <= 1e-13 * scale
+    _, eig = check_upwind_sbp(md, ops.Dp_symm, ops.Dm_symm)
+    assert eig <= 0.0
