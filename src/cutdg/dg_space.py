@@ -166,6 +166,8 @@ def l2_error(space: DGSpace, u, exact):
 
 
 def l2_norm_of_vector(space: DGSpace, u, mass_diag):
-    """Exact L2 norm of the DG function with nodal values u."""
+    """Exact L2 norm of the DG function with nodal values u, shaped (n,);
+    a block of states shaped (n, m) gives the m norms of its columns."""
     u = np.asarray(u)
-    return float(np.sqrt(np.dot(u, mass_diag * u)))
+    norm = np.sqrt(mass_diag @ (u * u))
+    return float(norm) if u.ndim == 1 else norm

@@ -9,11 +9,14 @@ The telegraph and explicit-heat integrations then propagate by binary
 powering: the step matrix is squared floor(log2 n) times, each set bit's
 power is applied to the state as a matrix-vector product, and a shorter
 closing step is applied to the state by the stepper itself. The
-implicit-heat study records every step, so it takes one step-matrix
-product per step.
+implicit-heat study records every step: it steps the first HEAT_BLOCK
+states one matrix-vector product at a time, then advances each further
+block of HEAT_BLOCK recorded states by one product with the squared power
+S^HEAT_BLOCK of its step matrix S.
 """
 
 import json
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -105,7 +108,10 @@ def parabolic_dt(dx, p):
 
 def _metadata(params):
     """Table metadata; a runner passes locals() before binding any name."""
-    return {"config": dict(params), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    return {"config": dict(params),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__}}
 
 
 def _case_space(n_background, p, alphas):
@@ -416,14 +422,56 @@ def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
     return table
 
 
+# recorded implicit-heat states advanced per matrix product: a power of
+# two, so S^HEAT_BLOCK takes log2(HEAT_BLOCK) = 5 squarings. At N = 128,
+# p = 2 (n = 399) blocks of 16 to 128 time within noise of each other, and
+# a larger block only holds more states at once.
+HEAT_BLOCK = 32
+
+
+def _midpoint_states(L, rho, dt, n_full, rem):
+    """Yield the states of implicit midpoint steps from rho as (n, m)
+    blocks: the n_full steps of dt, at most HEAT_BLOCK to a block, then,
+    when rem > 0, the closing step of rem as a block of one column.
+
+    The step matrix S is built once and steps the first block one product
+    at a time. It is then squared into S^HEAT_BLOCK, and each later block
+    is that power times the block before it: column j of a block is
+    HEAT_BLOCK steps past column j of the last.
+    """
+    if n_full:
+        S = linear_step_matrix(
+            lambda u: implicit_midpoint_heat_step(L, u, dt), L.shape[0])
+        block = np.empty((len(rho), min(HEAT_BLOCK, n_full)))
+        for j in range(block.shape[1]):
+            rho = block[:, j] = S @ rho
+        yield block
+        done = block.shape[1]
+        if done < n_full:
+            # rebinding S drops each old power, so at most two n x n powers
+            # are alive at once
+            for _ in range(HEAT_BLOCK.bit_length() - 1):
+                S = S @ S
+            while done < n_full:
+                block = S @ block[:, :n_full - done]
+                done += block.shape[1]
+                yield block
+        rho = block[:, -1]
+    if rem:
+        yield implicit_midpoint_heat_step(L, rho, rem)[:, None]
+
+
 def run_heat_implicit(*, p=1, pairing="mp", cells=32,
                       alphas=CONDITION_ALPHAS, t_final=5.0) -> ResultTable:
     """Implicit midpoint integration of the heat semidiscretization.
 
-    Every step is recorded, so each variant builds its one-step matrix once
-    and takes one matrix-vector product per full step, at t = k dt; a
-    shorter closing step lands exactly on t_final, as in propagate.
-    metadata["steps"] holds dt and the number of steps taken per variant.
+    Every step is recorded, at t = k dt; a shorter closing step lands
+    exactly on t_final, as in propagate. Each variant builds its one-step
+    matrix once and advances HEAT_BLOCK recorded steps per matrix product
+    (see _midpoint_states). The first step whose norm is not finite or
+    exceeds 1e6 is recorded with status "overflow" and ends the variant.
+    metadata["steps"] holds dt and the number of steps taken per variant,
+    and metadata["final_profiles"] the state after the last of them.
     """
     table = ResultTable(
         columns=("variant", "t", "max_abs_rho", "norm_rho", "status"),
@@ -438,37 +486,40 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
         del ops
         dt = space.mesh.background_dx / (10.0 * (2 * p + 1))
         n_full, rem = _step_count(t_final, dt)
-        S = linear_step_matrix(
-            lambda u: implicit_midpoint_heat_step(L, u, dt), L.shape[0])
         rho = project(space, np.cos)
-        n_steps = 0
-        status = "ok"
         table.add(variant=variant, t=0.0,
                   max_abs_rho=float(np.max(np.abs(rho))),
                   norm_rho=l2_norm_of_vector(space, rho, mass_diag),
-                  status=status)
-        for n_steps in range(1, n_full + (rem > 0) + 1):
-            if n_steps <= n_full:
-                rho, t = S @ rho, n_steps * dt
-            else:
-                rho, t = implicit_midpoint_heat_step(L, rho, rem), t_final
-            norm = l2_norm_of_vector(space, rho, mass_diag)
-            if not np.isfinite(norm) or norm > blow_up:
-                status = "overflow"
-            table.add(variant=variant, t=t,
-                      max_abs_rho=float(np.max(np.abs(rho))),
-                      norm_rho=norm, status=status)
-            if status == "overflow":
+                  status="ok")
+        n_steps = 0
+        for block in _midpoint_states(L, rho, dt, n_full, rem):
+            # a block may run past the first overflow, into states the rows
+            # never show
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = l2_norm_of_vector(space, block, mass_diag)
+                overflow = ~(norms <= blow_up)  # also true for nan
+            m = (int(np.argmax(overflow)) + 1 if overflow.any()
+                 else block.shape[1])
+            peaks = np.max(np.abs(block[:, :m]), axis=0)
+            for j in range(m):
+                n_steps += 1
+                table.add(variant=variant,
+                          t=n_steps * dt if n_steps <= n_full else t_final,
+                          max_abs_rho=float(peaks[j]),
+                          norm_rho=float(norms[j]),
+                          status="overflow" if overflow[j] else "ok")
+            rho = block[:, m - 1]
+            if overflow[m - 1]:
                 break
         table.metadata.setdefault("steps", {})[variant] = {
             "dt": dt, "n_steps": n_steps,
         }
         table.metadata.setdefault("final_profiles", {})[variant] = {
             "x": space.nodes.reshape(-1).tolist(),
-            "rho": np.asarray(rho).tolist(),
+            "rho": rho.tolist(),
         }
-        # free this variant's matrices before the next one is assembled
-        del S, L
+        # free this variant's operator before the next one is assembled
+        del L
     return table
 
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,9 @@ from cutdg.time_integration import (
 )
 from cutdg.experiments import (
     DOMAIN,
+    HEAT_BLOCK,
     ResultTable,
+    _step_count,
     linear_step_matrix,
     parabolic_dt,
     propagate,
@@ -400,11 +403,26 @@ def test_run_heat_implicit_profiles_and_decay():
     assert set(table.metadata["final_profiles"]) == variants
 
 
-def test_run_heat_implicit_matches_lu_step_loop():
-    table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
+# dt of SMALL_HEAT_IMPLICIT: background dx / (10 (2p + 1))
+SMALL_HEAT_DT = 2 * np.pi / 16 / 30
+
+
+# full-step counts on both sides of the first block edge, and the 76 steps
+# of t_final = 1 (three blocks, the last one partial); a t_final between
+# steps adds a closing step
+@pytest.mark.parametrize("t_final, n_steps", [
+    ((HEAT_BLOCK - 0.5) * SMALL_HEAT_DT, HEAT_BLOCK - 1),
+    (HEAT_BLOCK * SMALL_HEAT_DT, HEAT_BLOCK),
+    ((HEAT_BLOCK + 1.5) * SMALL_HEAT_DT, HEAT_BLOCK + 1),
+    (1.0, 76),
+], ids=["block-1", "block", "block+1", "76"])
+def test_run_heat_implicit_matches_lu_step_loop(t_final, n_steps):
+    table = run_heat_implicit(**dict(SMALL_HEAT_IMPLICIT, t_final=t_final))
     # rtol per variant: the step-matrix product and a solve per step round
     # differently, and the unstabilized operator amplifies that roundoff
     rtol = {"background": 1e-10, "unstabilized": 1e-3, "dod": 1e-10}
+    n_full, rem = _step_count(t_final, SMALL_HEAT_DT)
+    assert n_full == n_steps
     for variant, tol in rtol.items():
         alphas = () if variant == "background" else SMALL_HEAT_IMPLICIT["alphas"]
         mesh = build_cut_cell_mesh(*DOMAIN, 16, evenly_spaced_cuts(16, alphas))
@@ -413,15 +431,13 @@ def test_run_heat_implicit_matches_lu_step_loop():
         ops = operator_pair(space, "mp", eta=eta)
         L = heat_system(ops)
         dt = mesh.background_dx / 30.0
+        assert dt == SMALL_HEAT_DT
         rho = project(space, np.cos)
         want = [(0.0, np.max(np.abs(rho)),
                  l2_norm_of_vector(space, rho, ops.mass_diag))]
-        t_final = SMALL_HEAT_IMPLICIT["t_final"]
-        # 76 full steps of dt = 2 pi / 480 fit in t_final = 1; the closing
-        # step is the rest
-        n_full = 76
         schedule = [(k * dt, dt) for k in range(1, n_full + 1)]
-        schedule.append((t_final, t_final - n_full * dt))
+        if rem:
+            schedule.append((t_final, rem))
         for t, h in schedule:
             rho = implicit_midpoint_heat_step(L, rho, h)
             want.append((t, np.max(np.abs(rho)),
@@ -434,6 +450,43 @@ def test_run_heat_implicit_matches_lu_step_loop():
                                        [w[k] for w in want], rtol=tol, atol=0)
 
 
+def test_run_heat_implicit_stops_at_an_overflow_inside_a_block(monkeypatch):
+    # L = c I grows every state by the midpoint factor g per step; norms
+    # start near sqrt(pi), so g^k sqrt(pi) first exceeds 1e6 at step 40,
+    # inside the second block
+    first = 40
+    assert HEAT_BLOCK + 1 < first < 2 * HEAT_BLOCK - 1
+    g = (1e6 / np.sqrt(np.pi)) ** (1.0 / (first - 0.5))
+    c = (2.0 / SMALL_HEAT_DT) * (g - 1.0) / (g + 1.0)
+    monkeypatch.setattr(experiments, "heat_system",
+                        lambda ops: c * np.eye(ops.mass_diag.size))
+    step_sizes = []
+
+    def midpoint_step(L, u, dt):
+        step_sizes.append(dt)
+        return implicit_midpoint_heat_step(L, u, dt)
+
+    monkeypatch.setattr(experiments, "implicit_midpoint_heat_step",
+                        midpoint_step)
+    table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
+    n_full, rem = _step_count(SMALL_HEAT_IMPLICIT["t_final"], SMALL_HEAT_DT)
+    assert n_full > first and rem > 0
+    # the step matrices only: no closing step of rem
+    assert step_sizes == [SMALL_HEAT_DT] * 3
+    for variant in ("background", "unstabilized", "dod"):
+        rows = [r for r in table.rows if r["variant"] == variant]
+        assert [r["status"] for r in rows] == ["ok"] * first + ["overflow"]
+        assert rows[-1]["t"] == first * SMALL_HEAT_DT
+        assert rows[-2]["norm_rho"] <= 1e6 < rows[-1]["norm_rho"]
+        assert table.metadata["steps"][variant]["n_steps"] == first
+        alphas = () if variant == "background" else SMALL_HEAT_IMPLICIT["alphas"]
+        space = build_space(build_cut_cell_mesh(
+            *DOMAIN, 16, evenly_spaced_cuts(16, alphas)), 1)
+        np.testing.assert_allclose(
+            table.metadata["final_profiles"][variant]["rho"],
+            g**first * project(space, np.cos), rtol=1e-10)
+
+
 @pytest.mark.parametrize("t_final", [0.0, 0.25, 1.0])
 def test_run_heat_implicit_records_steps_per_variant(t_final):
     table = run_heat_implicit(**dict(SMALL_HEAT_IMPLICIT, t_final=t_final))
@@ -442,7 +495,7 @@ def test_run_heat_implicit_records_steps_per_variant(t_final):
     for variant, rec in steps.items():
         rows = [r for r in table.rows if r["variant"] == variant]
         assert rec["n_steps"] == len(rows) - 1
-        assert rec["dt"] == pytest.approx(2 * np.pi / 16 / 30)
+        assert rec["dt"] == pytest.approx(SMALL_HEAT_DT)
 
 
 def test_run_heat_implicit_takes_no_step_past_a_whole_number_of_steps():
@@ -475,18 +528,30 @@ def test_run_sbp_report_rejects_a_cut_without_a_small_cell():
         run_sbp_report(degrees=(0,), cells=8, alphas=(0.5,))
 
 
-@pytest.mark.parametrize("runner, kwargs", [
+# one small run of each study
+TINY_RUNS = [
     (run_convergence, dict(degrees=(0,), cells=(8, 16), alphas=(0.3,),
                            t_final=0.0)),
     (run_asymptotic, dict(degrees=(0,), cells=8, alphas=(0.3,), t_final=0.0)),
     (run_condition, dict(degrees=(0,), cells=8, alphas=(0.3,))),
     (run_heat_implicit, dict(cells=8, alphas=(0.3,), t_final=0.0)),
     (run_sbp_report, dict(degrees=(0,), cells=8, alphas=(0.3,))),
-])
+]
+
+
+@pytest.mark.parametrize("runner, kwargs", TINY_RUNS)
 def test_runners_record_the_parameters_they_read(runner, kwargs):
     defaults = {name: param.default for name, param
                 in inspect.signature(runner).parameters.items()}
     assert runner(**kwargs).metadata["config"] == {**defaults, **kwargs}
+
+
+@pytest.mark.parametrize("runner, kwargs", TINY_RUNS)
+def test_runners_record_library_versions(runner, kwargs):
+    metadata = runner(**kwargs).metadata
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    assert metadata["versions"] == versions
+    assert json.loads(json.dumps(metadata))["versions"] == versions
 
 
 def test_cli_sbp_check_exits_zero(capsys):
@@ -570,6 +635,38 @@ def _asymptotic_table(eps_and_diffs):
         table.add(tableau="ARS443", p=1, epsilon=eps, diff_l2=diff,
                   stepper="stable_ars_step")
     return table
+
+
+def _heat_implicit_table(dod_last_max_abs_rho, dod_last_status,
+                         unstabilized_last_status="ok"):
+    """Two rows per variant, at t = 0 and t_final = 1, decaying like e^-t
+    except for the last rows given."""
+    table = ResultTable(columns=("variant", "t", "max_abs_rho", "norm_rho",
+                                 "status"),
+                        metadata={"config": {"t_final": 1.0}})
+    last = {"background": (np.exp(-1.0), "ok"),
+            "unstabilized": (np.exp(-1.0), unstabilized_last_status),
+            "dod": (dod_last_max_abs_rho, dod_last_status)}
+    for variant, (max_abs, status) in last.items():
+        table.add(variant=variant, t=0.0, max_abs_rho=1.0, norm_rho=1.0,
+                  status="ok")
+        table.add(variant=variant, t=1.0, max_abs_rho=max_abs,
+                  norm_rho=np.exp(-1.0), status=status)
+    return table
+
+
+def test_heat_implicit_check_fails_a_stabilized_overflow():
+    assert cli._check_heat_implicit(_heat_implicit_table(np.exp(-1.0), "ok")) == []
+    # the unstabilized blow-up is the study's expected clause
+    assert cli._check_heat_implicit(
+        _heat_implicit_table(np.exp(-1.0), "ok", "overflow")) == []
+    # max() drops a nan that follows a number, so only the status and a
+    # finiteness check see it
+    (failure,) = cli._check_heat_implicit(
+        _heat_implicit_table(float("nan"), "overflow"))
+    assert failure.startswith("dod: 1 rows overflowed or not finite")
+    failures = cli._check_heat_implicit(_heat_implicit_table(np.inf, "ok"))
+    assert failures[0].startswith("dod: 1 rows overflowed or not finite")
 
 
 def test_asymptotic_check_orders_by_epsilon_and_fails_a_non_monotone_table():
