@@ -66,10 +66,10 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
     def add(self, **kwargs):
-        missing = set(self.columns) - set(kwargs)
-        if missing:
-            raise ValueError(f"row is missing columns {sorted(missing)}")
-        self.rows.append({c: kwargs[c] for c in self.columns})
+        try:
+            self.rows.append({c: kwargs[c] for c in self.columns})
+        except KeyError as err:
+            raise ValueError(f"row is missing column {err.args[0]!r}") from None
 
     def csv_lines(self):
         """Header line and one line per row; floats keep 17 digits."""
@@ -236,11 +236,11 @@ def _integrate_heat_explicit(L, tab_name, t_final, dt, rho0):
 
 
 def _record_steps(table, t_final, dt, **case):
-    """Append one case's dt and number of full steps to
-    table.metadata["steps"]."""
-    n_full, _ = _step_count(t_final, dt)
+    """Append one case's dt and number of steps taken, the closing step
+    included, to table.metadata["steps"]."""
+    n_full, rem = _step_count(t_final, dt)
     table.metadata.setdefault("steps", []).append(
-        {**case, "dt": dt, "n_steps": n_full}
+        {**case, "dt": dt, "n_steps": n_full + (rem > 0)}
     )
 
 
@@ -254,8 +254,8 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
     so the distinct cell counts need not double.
 
     metadata["steps"] holds one record per row: the case keys, dt and the
-    number of full steps (a shorter closing step follows when t_final is
-    not a whole number of steps).
+    number of steps taken, the closing step included (a shorter closing
+    step lands on t_final when it is not a whole number of steps).
     """
     if len(set(cells)) < len(cells):
         raise ValueError(f"cells must be distinct, got {cells!r}")
@@ -335,9 +335,10 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
 
     Both integrations of a (tableau, p) case share one dt for every
     epsilon; metadata["steps"] holds one record per case with dt and the
-    number of full steps. The heat limit does not depend on epsilon and its
-    initial data sin(x) / r scale with 1/r, so it is integrated once per
-    case from sin(x) and divided by r for each epsilon.
+    number of steps taken, the closing step included. The heat limit does
+    not depend on epsilon and its initial data sin(x) / r scale with 1/r,
+    so it is integrated once per case from sin(x) and divided by r for
+    each epsilon.
     """
     table = ResultTable(
         columns=("tableau", "p", "epsilon", "diff_l2", "stepper"),

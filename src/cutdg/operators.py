@@ -17,12 +17,15 @@ small cell, in mesh order, into the background B.
 
 assemble_stabilized builds the stabilized derivative of one flux kind,
 background plus small-cell corrections, directly as defined; with central
-fluxes it is already skew-symmetric under M. operator_pair builds the
-upwind pair the same way for every degree: split_dissipation writes the
-stabilized upwind and downwind operators as Dz +/- Ddiss, and
-symmetrize_upwind_pair keeps the central part and the M-symmetrized half
-of the dissipation part, which makes the pair dual and dissipative
-(upwind SBP). At p = 0 the stabilized pair is already one, and the
+fluxes it is already skew-symmetric under M (periodic SBP). operator_pair
+builds the upwind pair from two stabilized operators for every degree, the
+central Dz and the upwind D^-: split_dissipation forms the symmetric
+dissipation S = sym(M (D^- - Dz)), and symmetrize_upwind_pair returns
+D^+/- = Dz -/+ M^{-1} S, which is dual and dissipative: the diagonal-norm
+upwind SBP form of Mattsson (J. Comput. Phys. 335, 2017).
+Every form is affine in the flux coefficients (H_a, H_b), which sum to 1,
+so the stabilized downwind operator is 2 Dz - D^- up to roundoff and is not
+assembled. At p = 0 the stabilized pair is already dual, and the
 symmetrization moves it only by its roundoff ridge.
 """
 
@@ -40,9 +43,9 @@ CENTRAL = "z"
 LAMBDA_C = {0: 1.0, 1: 0.55}
 LAMBDA_C_HIGH = 0.45  # extension for p >= 2
 
-# Relative tolerance, on the scale max(|M Dz|, 1), of the identities that
-# split_dissipation and symmetrize_upwind_pair check: consistent inputs
-# leave roundoff of a few eps (~1e-15), inconsistent assembly inputs O(1).
+# Relative tolerance, on the scale max(|M Dz|, 1), of the duality identity
+# that symmetrize_upwind_pair checks: consistent inputs leave roundoff of a
+# few eps (~1e-15), a central part that is not skew under M leaves O(1).
 PAIR_TOL = 1e-10
 
 
@@ -228,36 +231,27 @@ def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
     return B / mass_diagonal(space)[:, None]
 
 
-def split_dissipation(d_plus, d_minus, d_central, mass_diag):
-    """Dissipation operator with D^-/+ = Dz +/- Ddiss (L_c = R_c = 1/2) for
-    the stabilized upwind/downwind operators D^-/+.
+def split_dissipation(d_minus, d_central, mass_diag):
+    """S = sym(M (D^- - Dz)): the dissipation form of the stabilized upwind
+    operator D^- about the central one Dz (L_c = R_c = 1/2).
 
-    The decomposition identity against the central operator is verified in
-    the M-weighted norm; a large residual indicates inconsistent assembly
-    inputs.
+    Dz is subtracted before symmetrizing, so the roundoff part sym(M Dz)
+    of M D^- does not enter S.
     """
-    ddiss = 0.5 * (d_minus - d_plus)
-    resid_mat = mass_diag[:, None] * (0.5 * (d_minus + d_plus) - d_central)
-    resid = np.max(np.abs(resid_mat))
-    scale = max(np.max(np.abs(mass_diag[:, None] * d_central)), 1.0)
-    if resid > PAIR_TOL * scale:
-        raise RuntimeError(
-            f"dissipation split residual {resid:.3e} exceeds tolerance"
-        )
-    return ddiss
+    s = mass_diag[:, None] * (d_minus - d_central)
+    return 0.5 * (s + s.T)
 
 
-def symmetrize_upwind_pair(d_central, d_diss, mass_diag):
-    """Symmetrized upwind pair (D^{+,symm}, D^{-,symm}).
+def symmetrize_upwind_pair(d_central, s, mass_diag):
+    """Symmetrized upwind pair (D^{+,symm}, D^{-,symm}) = Dz -/+ M^{-1} S.
 
-    S = sym(M Ddiss); D^{+,symm} = Dz - M^{-1} S, D^{-,symm} = Dz + M^{-1} S.
-    The returned pair satisfies M D^+ + (D^-)^T M = 0 and makes
-    M (D^+ - D^-) negative semidefinite. All algebra happens on the
-    M-weighted matrices so small-cell rows do not amplify roundoff.
+    s is the symmetric dissipation form of split_dissipation; a roundoff
+    ridge is added to its diagonal in place. The returned pair satisfies
+    M D^+ + (D^-)^T M = 0 and makes M (D^+ - D^-) negative semidefinite.
+    All algebra happens on the M-weighted matrices so small-cell rows do
+    not amplify roundoff.
     """
     bz = mass_diag[:, None] * d_central
-    s = mass_diag[:, None] * d_diss
-    s = 0.5 * (s + s.T)
     # roundoff-scaled ridge: the division by M and re-multiplication in the
     # structure checks perturb entries by eps * |B|; shifting the symmetric
     # part by a slightly larger multiple of the identity (relative size
@@ -290,7 +284,6 @@ class OperatorSet:
     Dz: np.ndarray
     Dp_symm: np.ndarray
     Dm_symm: np.ndarray
-    eta: dict
     d_rho: np.ndarray
     d_gt: np.ndarray
 
@@ -303,9 +296,9 @@ class OperatorSet:
 def operator_pair(space, pairing, eta=None):
     """Assemble everything and select the (D^rho, D^gt) pair.
 
-    Every degree takes the symmetrized pair (Dp_symm, Dm_symm) of the
-    stabilized downwind and upwind operators; "mp" and "pm" select it in
-    either order, and "central" takes Dz for both equations.
+    Every degree takes the symmetrized pair (Dp_symm, Dm_symm) built from
+    the stabilized central and upwind operators; "mp" and "pm" select it
+    in either order, and "central" takes Dz for both equations.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
@@ -313,10 +306,9 @@ def operator_pair(space, pairing, eta=None):
         eta = default_eta(space)
     mdiag = mass_diagonal(space)
     dz = assemble_stabilized(space, CENTRAL, eta)
-    dp = assemble_stabilized(space, DOWNWIND, eta)
     dm = assemble_stabilized(space, UPWIND, eta)
     dp_symm, dm_symm = symmetrize_upwind_pair(
-        dz, split_dissipation(dp, dm, dz, mdiag), mdiag)
+        dz, split_dissipation(dm, dz, mdiag), mdiag)
 
     if pairing == "mp":
         d_rho, d_gt = dm_symm, dp_symm
@@ -331,7 +323,6 @@ def operator_pair(space, pairing, eta=None):
         Dz=dz,
         Dp_symm=dp_symm,
         Dm_symm=dm_symm,
-        eta=dict(eta),
         d_rho=d_rho,
         d_gt=d_gt,
     )

@@ -247,14 +247,20 @@ def test_build_case_variants():
     alphas = (1e-3, 0.3)
     space, ops = experiments._build_case(16, 1, alphas, "mp", "background")
     assert space.mesh.small_cells == () and space.mesh.n_cells == 16
-    assert ops.eta == {}
+    background = operator_pair(space, "mp", eta={})
+    assert np.array_equal(ops.Dm_symm, background.Dm_symm)
     space, ops = experiments._build_case(16, 1, alphas, "mp", "unstabilized")
     assert len(space.mesh.small_cells) == len(alphas)
-    assert ops.eta == {c: 0.0 for c in space.mesh.small_cells}
+    unstab = operator_pair(
+        space, "mp", eta={c: 0.0 for c in space.mesh.small_cells})
+    assert np.array_equal(ops.Dm_symm, unstab.Dm_symm)
     space, ops = experiments._build_case(16, 1, alphas, "mp")
-    assert ops.eta == default_eta(space)
-    assert set(ops.eta) == set(space.mesh.small_cells)
-    assert all(eta > 0.0 for eta in ops.eta.values())
+    eta = default_eta(space)
+    assert set(eta) == set(space.mesh.small_cells)
+    assert all(e > 0.0 for e in eta.values())
+    dod = operator_pair(space, "mp", eta=eta)
+    assert np.array_equal(ops.Dm_symm, dod.Dm_symm)
+    assert not np.array_equal(ops.Dm_symm, unstab.Dm_symm)
 
 
 def test_parabolic_dt_scaling():
@@ -298,7 +304,11 @@ def test_run_convergence_records_steps_per_case():
         dt = experiments.C_PRE[1] / 3 * row["epsilon"] * row["dx"]
         assert rec["dt"] == pytest.approx(dt, rel=1e-15)
         t_final = table.metadata["config"]["t_final"]
-        assert rec["n_steps"] == int(np.floor(t_final / rec["dt"] + 1e-12))
+        # every step taken, the closing step included: the steps cover
+        # [0, t_final] and one step fewer would not
+        n_steps = rec["n_steps"]
+        assert ((n_steps - 1) * rec["dt"] < t_final
+                <= n_steps * rec["dt"] * (1 + 1e-12))
     json.dumps(table.metadata)  # the records serialize with the table
 
 
@@ -328,7 +338,11 @@ def test_run_asymptotic_records_steps_per_case():
     for rec in steps:
         assert rec["dt"] == parabolic_dt(2 * np.pi / 16, rec["p"])
         t_final = table.metadata["config"]["t_final"]
-        assert rec["n_steps"] == int(np.floor(t_final / rec["dt"] + 1e-12))
+        # every step taken, the closing step included: the steps cover
+        # [0, t_final] and one step fewer would not
+        n_steps = rec["n_steps"]
+        assert ((n_steps - 1) * rec["dt"] < t_final
+                <= n_steps * rec["dt"] * (1 + 1e-12))
 
 
 def test_run_convergence_heat_variant():

@@ -16,6 +16,7 @@ from cutdg.dg_space import build_space
 from cutdg.operators import (
     CENTRAL,
     DOWNWIND,
+    PAIR_TOL,
     UPWIND,
     assemble_background_mform,
     assemble_dod_flux_mform,
@@ -347,18 +348,6 @@ def test_eta_validation():
         assemble_dod_volume_mform(space, 2, UPWIND, 0.5, 0.7, 0.7)
 
 
-def test_split_dissipation_rejects_inconsistent_inputs():
-    space = make_space(1, [])
-    md = mass_diagonal(space)
-    dp, dm, dz = (assemble_background_mform(space, kind) / md[:, None]
-                  for kind in (DOWNWIND, UPWIND, CENTRAL))
-    ddiss = split_dissipation(dp, dm, dz, mass_diag=md)
-    assert np.allclose(dp, dz - ddiss, atol=1e-12)
-    assert np.allclose(dm, dz + ddiss, atol=1e-12)
-    with pytest.raises(RuntimeError, match="residual"):
-        split_dissipation(dp, dm, dz + 1.0, mass_diag=md)
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [1e-7, 1e-3, 0.3])
 def test_symmetrized_pair_duality_and_dissipation(p, alpha):
@@ -377,12 +366,17 @@ def test_symmetrized_pair_duality_and_dissipation(p, alpha):
 def test_symmetrize_rejects_broken_input():
     space = make_space(1, [])
     md = mass_diagonal(space)
-    dz = assemble_background_mform(space, CENTRAL) / md[:, None]
-    bad_diss = np.eye(space.n_dofs)
-    bad_diss[0, 1] = 1e6  # wrecks the symmetry the construction relies on
-    # a valid Ddiss always succeeds; feeding a broken central part fails
+    dz, dm = (assemble_background_mform(space, kind) / md[:, None]
+              for kind in (CENTRAL, UPWIND))
+    s = split_dissipation(dm, dz, md)
+    assert np.array_equal(s, s.T)
+    # the background pair is already dual: the symmetrized D^- is D^-
+    scale = np.max(np.abs(md[:, None] * dz))
+    _, dm_symm = symmetrize_upwind_pair(dz, s.copy(), md)
+    assert np.max(np.abs(md[:, None] * (dm_symm - dm))) <= 1e-13 * scale
+    # a central part that is not skew under M breaks the duality
     with pytest.raises(RuntimeError, match="duality"):
-        symmetrize_upwind_pair(dz + np.triu(np.ones_like(dz)), bad_diss * 0, md)
+        symmetrize_upwind_pair(dz + np.triu(np.ones_like(dz)), s, md)
 
 
 @pytest.mark.parametrize("pairing,rho_attr,gt_attr", [
@@ -404,26 +398,69 @@ def test_operator_pair_rejects_unknown_pairing():
         operator_pair(space, "zz")
 
 
-P0_MESHES = {
+PAIR_MESHES = {
     "single-cut": build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")]),
     "5-cut": build_cut_cell_mesh(-np.pi, np.pi, 16, evenly_spaced_cuts(
         16, (1e-7, 1e-3, 1e-1, 0.3, 0.49))),
 }
 
 
-@pytest.mark.parametrize("mesh", P0_MESHES, ids=list(P0_MESHES))
+@pytest.mark.parametrize("mesh", PAIR_MESHES, ids=list(PAIR_MESHES))
 @pytest.mark.parametrize("eta_c", [0.0, 0.5, None], ids=["0", "0.5", "default"])
 def test_p0_symmetrized_pair_is_the_stabilized_pair(mesh, eta_c):
     # at p = 0 the stabilized pair is already dual, so the symmetrization
     # moves it only by its roundoff ridge, and the pair stays dissipative
-    space = build_space(P0_MESHES[mesh], 0)
+    space = build_space(PAIR_MESHES[mesh], 0)
     eta = (None if eta_c is None
            else {c: eta_c for c in space.mesh.small_cells})
     ops = operator_pair(space, "mp", eta=eta)
     md = ops.mass_diag
     scale = np.max(np.abs(md[:, None] * ops.Dz))
     for got, kind in ((ops.Dp_symm, DOWNWIND), (ops.Dm_symm, UPWIND)):
-        want = assemble_stabilized(space, kind, ops.eta)
+        want = assemble_stabilized(
+            space, kind, default_eta(space) if eta is None else eta)
         assert np.max(np.abs(md[:, None] * (got - want))) <= 1e-13 * scale
     _, eig = check_upwind_sbp(md, ops.Dp_symm, ops.Dm_symm)
     assert eig <= 0.0
+
+
+@pytest.mark.parametrize("mesh", PAIR_MESHES, ids=list(PAIR_MESHES))
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("eta_c", [0.0, 0.5, None], ids=["0", "0.5", "default"])
+def test_central_operator_is_the_mean_of_upwind_and_downwind(mesh, p, eta_c):
+    # operator_pair builds the pair from Dz and D^- alone; it is the upwind
+    # pair of the scheme because the stabilized D^+ is 2 Dz - D^-. Measured
+    # residual: 1.2e-15 of max|M Dz|
+    space = build_space(PAIR_MESHES[mesh], p)
+    eta = (default_eta(space) if eta_c is None
+           else {c: eta_c for c in space.mesh.small_cells})
+    md = mass_diagonal(space)
+    dp, dm, dz = (assemble_stabilized(space, kind, eta)
+                  for kind in (DOWNWIND, UPWIND, CENTRAL))
+    resid = np.max(np.abs(md[:, None] * (0.5 * (dm + dp) - dz)))
+    assert resid <= PAIR_TOL * max(np.max(np.abs(md[:, None] * dz)), 1.0)
+
+
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("alpha", [1e-7, 1e-3, 0.3, 0.49])
+def test_operators_differentiate_polynomials_around_a_cut(p, alpha):
+    # Dz and the symmetrized pair differentiate (x - x_c)^q, q <= p, on the
+    # rows of cells c-2..c+2 around the small cell c. Their stencils reach
+    # cells c-3..c+3 only, so the periodic wrap plays no part
+    mesh = build_cut_cell_mesh(-np.pi, np.pi, 16, [(8, alpha, "left")])
+    space = build_space(mesh, p)
+    (c,) = mesh.small_cells
+    ops = operator_pair(space, "mp")
+    x = space.nodes.reshape(-1) - cell_center(space, c)
+    rows = np.r_[tuple(space.dofs(j) for j in range(c - 2, c + 3))]
+    # the pair's error is the roundoff ridge 32 eps max|M Dz| divided by
+    # the small cell's mass, ~32 eps / alpha of max|D| (7.1e-8 at
+    # alpha = 1e-7); Dz's is at most 5.3e-9 there. 1e-13 / alpha sits 14x
+    # above the pair's
+    tol = 1e-13 / alpha
+    for D in (ops.Dz, ops.Dp_symm, ops.Dm_symm):
+        D = D[rows]
+        for q in range(p + 1):
+            exact = q * x[rows] ** (q - 1) if q else 0.0
+            err = np.max(np.abs(D @ x**q - exact))
+            assert err <= tol * np.max(np.abs(D)), (q, err)
