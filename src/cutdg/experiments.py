@@ -5,14 +5,16 @@ arguments whose defaults are the reference study; it records them in
 metadata["config"] and returns a ResultTable. All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
 once (one batched stepper call over identity columns).
-The telegraph and explicit-heat integrations then propagate by binary
-powering: the step matrix is squared floor(log2 n) times, each set bit's
-power is applied to the state as a matrix-vector product, and a shorter
-closing step is applied to the state by the stepper itself. The
-implicit-heat study records every step: it steps the first HEAT_BLOCK
-states one matrix-vector product at a time, then advances each further
-block of HEAT_BLOCK recorded states by one product with the squared power
-S^HEAT_BLOCK of its step matrix S.
+The telegraph and explicit-heat integrations then propagate by a planned
+power: the step matrix is squared j times, with each set bit below 2^j
+applied to the state as a matrix-vector product, its 2^j-th power is
+applied to the state n >> j times, and a shorter closing step is applied
+to the state by the stepper itself. _power_plan picks j from the cost of
+a squaring against that of a product, so a long run stops squaring once
+products are cheaper. The implicit-heat study records every step: it
+steps the first HEAT_BLOCK states one matrix-vector product at a time,
+then advances each further block of HEAT_BLOCK recorded states by one
+product with the squared power S^HEAT_BLOCK of its step matrix S.
 """
 
 import json
@@ -185,32 +187,60 @@ def _step_count(t_final, dt):
     return n_full, (rem if rem > 1e-12 * dt else 0.0)
 
 
+# one matrix-vector product costs about PRODUCT_COST / n squarings of an
+# n x n step matrix. The measured squaring-to-product time ratio is about
+# 144 at n = 798, 96 at n = 414, 80 at n = 266, 20 at n = 126 and 3 at
+# n = 42 (2 cores, numpy 2.4.6), so n / ratio lies in 3..14. The optimum
+# is flat: at p = 2, N = 128, eps = 1e-3 plans of 10 to 14 squarings time
+# within ~10% of each other, and any constant in 3..12 gives the same gain
+PRODUCT_COST = 6
+
+
+def _power_plan(n_full, n):
+    """Squarings j and matrix-vector products with which propagate raises
+    the step matrix of a state of size n to n_full steps.
+
+    Each set bit of n_full below 2^j costs one product during the
+    squarings, and the power S^(2^j) is then applied n_full >> j times.
+    j minimizes j + products * PRODUCT_COST / n, in squarings, over
+    0 <= j <= floor(log2 n_full), ties going to more squarings. One more
+    squaring saves n_full >> (j + 1) products, a saving that only shrinks
+    as j grows, so j rises while that saving is worth a squaring. With
+    PRODUCT_COST >= n this is plain binary powering, j = floor(log2 n_full).
+    """
+    j = 0
+    while n_full >> (j + 1) and (n_full >> (j + 1)) * PRODUCT_COST >= n:
+        j += 1
+    return j, (n_full & ((1 << j) - 1)).bit_count() + (n_full >> j)
+
+
 def propagate(apply_step, state, t_final, dt):
     """Advance a state vector to t_final with fixed steps.
 
     apply_step(u, h) is the batched linear one-step action: u is the state
-    (n,) or a block of states (n, m). The dt step matrix is built once, by
-    one apply_step call on the identity, and raised to the number of full
-    steps by binary powering: floor(log2 n_full) squarings, with each set
-    bit's power applied to the state as a matrix-vector product (no matrix
-    is built when t_final < dt). A shorter closing step, one apply_step
-    call on the state, lands exactly on t_final. Raises ValueError for
-    t_final < 0 or dt <= 0, and FloatingPointError if the result is not
-    finite (an unstable step); overflow inside the products raises no
-    numpy warning of its own.
+    (n,) or a block of states (n, m). The dt step matrix S is built once,
+    by one apply_step call on the identity (no matrix is built when
+    t_final < dt), and raised to the number of full steps as _power_plan
+    says: j squarings, with each set bit's power below 2^j applied to the
+    state as a matrix-vector product, then n_full >> j products with
+    S^(2^j). A shorter closing step, one apply_step call on the state,
+    lands exactly on t_final. Raises ValueError for t_final < 0 or
+    dt <= 0, and FloatingPointError if the result is not finite (an
+    unstable step); overflow inside the products raises no numpy warning
+    of its own.
     """
     n_full, rem = _step_count(t_final, dt)
+    squarings, _ = _power_plan(n_full, len(state))
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         if n_full:
             power = linear_step_matrix(lambda u: apply_step(u, dt), len(state))
-            k = n_full
-            while k:
-                if k & 1:
+            for bit in range(squarings):
+                if n_full >> bit & 1:
                     out = power @ out
-                k >>= 1
-                if k:
-                    power = power @ power
+                power = power @ power
+            for _ in range(n_full >> squarings):
+                out = power @ out
         if rem:
             out = apply_step(out, rem)
     if not np.all(np.isfinite(out)):
@@ -235,13 +265,52 @@ def _integrate_heat_explicit(L, tab_name, t_final, dt, rho0):
                      rho0, t_final, dt)
 
 
-def _record_steps(table, t_final, dt, **case):
-    """Append one case's dt and number of steps taken, the closing step
-    included, to table.metadata["steps"]."""
+def _record_steps(table, t_final, dt, n, **case):
+    """Append one case's dt, number of steps taken (the closing step
+    included) and the squarings and products of _power_plan for a state of
+    size n to table.metadata["steps"]."""
     n_full, rem = _step_count(t_final, dt)
+    squarings, products = _power_plan(n_full, n)
     table.metadata.setdefault("steps", []).append(
-        {**case, "dt": dt, "n_steps": n_full + (rem > 0)}
+        {**case, "dt": dt, "n_steps": n_full + (rem > 0),
+         "squarings": squarings, "products": products}
     )
+
+
+def _convergence_case(space, ops, p, eps, t_final, tableau):
+    """(dx, dt, state size, err_rho, err_gt, status) of one convergence
+    case; eps == 0.0 integrates the explicit heat limit."""
+    dx = space.mesh.background_dx
+    if eps == 0.0:
+        # the parabolic constant absorbs one domain length, like
+        # parabolic_dt; with the plain dx^2 the p = 1, 2 runs sit outside
+        # the explicit stability interval
+        dt = C_PRE_HEAT[p] / (2 * p + 1) * dx**2 / (DOMAIN[1] - DOMAIN[0])
+        n = space.n_dofs
+    else:
+        dt = C_PRE[p] / (2 * p + 1) * eps * dx
+        n = 2 * space.n_dofs
+    status = "ok"
+    try:
+        if eps == 0.0:
+            rho0 = project(space, np.sin)
+            rho = _integrate_heat_explicit(heat_system(ops), tableau,
+                                           t_final, dt, rho0)
+            decay = np.exp(-t_final)
+            err_rho = l2_error(space, rho, lambda x: decay * np.sin(x))
+            err_gt = 0.0
+        else:
+            rho_ex, gt_ex, _ = exact_telegraph(eps)
+            state0 = (project(space, lambda x: rho_ex(x, 0.0)),
+                      project(space, lambda x: gt_ex(x, 0.0)))
+            rho, gt = _integrate_telegraph(space, ops, eps, tableau, t_final,
+                                           dt, state0)
+            err_rho = l2_error(space, rho, lambda x: rho_ex(x, t_final))
+            err_gt = l2_error(space, gt, lambda x: gt_ex(x, t_final))
+    except FloatingPointError:
+        err_rho = err_gt = float("nan")
+        status = "unstable"
+    return dx, dt, n, err_rho, err_gt, status
 
 
 def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
@@ -251,11 +320,16 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
     """L2 errors and orders against the exact telegraph solution; rows
     with epsilon == 0.0 integrate the explicit heat limit instead. An
     order compares a row with the previous cell count, per halving of dx,
-    so the distinct cell counts need not double.
+    so the distinct cell counts need not double. The operators do not
+    depend on epsilon, so each (pairing, p, cell count) case is assembled
+    once and runs every epsilon; the rows still go in (pairing, p,
+    epsilon, cell count) order.
 
-    metadata["steps"] holds one record per row: the case keys, dt and the
+    metadata["steps"] holds one record per row: the case keys, dt, the
     number of steps taken, the closing step included (a shorter closing
-    step lands on t_final when it is not a whole number of steps).
+    step lands on t_final when it is not a whole number of steps), and
+    the squarings and matrix-vector products propagate spends on the full
+    steps.
     """
     if len(set(cells)) < len(cells):
         raise ValueError(f"cells must be distinct, got {cells!r}")
@@ -266,51 +340,18 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
     )
     for pairing in pairings:
         for p in degrees:
+            cases = {}
+            for n_bg in cells:
+                space, ops = _build_case(n_bg, p, alphas, pairing)
+                for eps in epsilons:
+                    cases[eps, n_bg] = _convergence_case(space, ops, p, eps,
+                                                         t_final, tableau)
             for eps in epsilons:
-                heat = eps == 0.0
                 prev = None
                 for n_bg in cells:
-                    space, ops = _build_case(n_bg, p, alphas, pairing)
-                    dx = space.mesh.background_dx
-                    if heat:
-                        # the parabolic constant absorbs one domain length,
-                        # like parabolic_dt; with the plain dx^2 the p = 1, 2
-                        # runs sit outside the explicit stability interval
-                        dt = (C_PRE_HEAT[p] / (2 * p + 1) * dx**2
-                              / (DOMAIN[1] - DOMAIN[0]))
-                    else:
-                        dt = C_PRE[p] / (2 * p + 1) * eps * dx
-                    _record_steps(table, t_final, dt, pairing=pairing,
+                    dx, dt, n, err_rho, err_gt, status = cases[eps, n_bg]
+                    _record_steps(table, t_final, dt, n, pairing=pairing,
                                   p=p, epsilon=eps, n_background=n_bg)
-                    status = "ok"
-                    try:
-                        if heat:
-                            rho0 = project(space, np.sin)
-                            L = heat_system(ops)
-                            rho = _integrate_heat_explicit(
-                                L, tableau, t_final, dt, rho0
-                            )
-                            decay = np.exp(-t_final)
-                            err_rho = l2_error(
-                                space, rho, lambda x: decay * np.sin(x)
-                            )
-                            err_gt = 0.0
-                        else:
-                            rho_ex, gt_ex, _ = exact_telegraph(eps)
-                            state0 = (
-                                project(space, lambda x: rho_ex(x, 0.0)),
-                                project(space, lambda x: gt_ex(x, 0.0)),
-                            )
-                            rho, gt = _integrate_telegraph(
-                                space, ops, eps, tableau, t_final, dt, state0,
-                            )
-                            err_rho = l2_error(
-                                space, rho, lambda x: rho_ex(x, t_final))
-                            err_gt = l2_error(
-                                space, gt, lambda x: gt_ex(x, t_final))
-                    except FloatingPointError:
-                        err_rho = err_gt = float("nan")
-                        status = "unstable"
                     eoc_rho = eoc_gt = float("nan")
                     if prev is not None and status == "ok" and prev[0] == "ok":
                         # orders per halving of dx; 1.0 when N doubles
@@ -334,8 +375,10 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
     """L2 distance between the telegraph solution and its heat limit.
 
     Both integrations of a (tableau, p) case share one dt for every
-    epsilon; metadata["steps"] holds one record per case with dt and the
-    number of steps taken, the closing step included. The heat limit does
+    epsilon; metadata["steps"] holds one record per case with dt, the
+    number of steps taken, the closing step included, and the squarings
+    and matrix-vector products of each of its telegraph integrations,
+    which all share one state size 2n. The heat limit does
     not depend on epsilon and its initial data sin(x) / r scale with 1/r,
     so it is integrated once per case from sin(x) and divided by r for
     each epsilon.
@@ -349,7 +392,8 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
         for p in degrees:
             space, ops = _build_case(cells, p, alphas, pairing)
             dt = parabolic_dt(space.mesh.background_dx, p)
-            _record_steps(table, t_final, dt, tableau=tab_name, p=p)
+            _record_steps(table, t_final, dt, 2 * space.n_dofs,
+                          tableau=tab_name, p=p)
             heat_sin = _integrate_heat_explicit(
                 heat_system(ops), tab_name, t_final, dt,
                 project(space, np.sin),

@@ -216,6 +216,82 @@ def test_propagate_zero_time_returns_the_state():
     assert np.array_equal(propagate(lambda u, h: 0.5 * u, v0, 0.0, 0.1), v0)
 
 
+def _brute_force_plan(n_full, n):
+    # cost in units of one squaring, times n so it stays an integer; the
+    # last minimizer in increasing j is the tie going to more squarings
+    def products(j):
+        return bin(n_full % 2**j).count("1") + n_full // 2**j
+
+    top = n_full.bit_length() - 1 if n_full else 0
+    costs = [j * n + products(j) * experiments.PRODUCT_COST
+             for j in range(top + 1)]
+    j = max(j for j, c in enumerate(costs) if c == min(costs))
+    return j, products(j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 12, 42, 84, 126, 798, 5000])
+def test_power_plan_is_the_brute_force_minimizer(n):
+    # the plan's j is the same wherever (n_full >> j) * PRODUCT_COST == n,
+    # a tie, so n_full runs over every multiple boundary up to 4096
+    for n_full in list(range(0, 4097)) + [25464, 679061, 2**20, 2**20 - 1]:
+        assert experiments._power_plan(n_full, n) == _brute_force_plan(
+            n_full, n), n_full
+
+
+def test_power_plan_is_binary_powering_for_a_state_of_size_two():
+    for n_full in range(1, 5000):
+        squarings, products = experiments._power_plan(n_full, 2)
+        assert squarings == n_full.bit_length() - 1
+        assert products == bin(n_full).count("1")
+
+
+@pytest.mark.parametrize("n", [1, 2, 84, 798, 10**6])
+def test_power_plan_always_applies_the_last_power(n):
+    for n_full in list(range(1, 3000)) + [679061, 2**40 + 3]:
+        squarings, _ = experiments._power_plan(n_full, n)
+        assert n_full >> squarings >= 1
+    assert experiments._power_plan(0, n) == (0, 0)
+
+
+@pytest.mark.parametrize("n_full", [100, 1000, 5000])
+def test_propagate_with_early_stopped_plan_matches_literal_step_loop(n_full):
+    # a conserved mean mode plus a symmetric part contractive on its
+    # complement, like the telegraph step matrix: the state stays O(1)
+    rng = np.random.default_rng(n_full)
+    n = 96
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    C = Q @ np.diag(rng.uniform(-0.999, 0.999, n)) @ Q.T
+    P = np.full((n, n), 1.0 / n)
+    A = P + (np.eye(n) - P) @ C @ (np.eye(n) - P)
+    dt = 0.25
+    G = (A - np.eye(n)) / dt
+
+    def apply_step(u, h):
+        return u + h * (G @ u)
+
+    squarings, _ = experiments._power_plan(n_full, n)
+    assert squarings < n_full.bit_length() - 1  # the plan stops early
+    v0 = 1.0 + 0.1 * rng.standard_normal(n)
+    want = v0.copy()
+    for _ in range(n_full):
+        want = apply_step(want, dt)
+    np.testing.assert_allclose(propagate(apply_step, v0, n_full * dt, dt),
+                               want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_overflow_in_the_product_loop_raises_only_at_the_end():
+    # 1.5 I of size 100 over 5000 steps: the plan squares 8 times, to a
+    # finite 1.5**256 I, and the state overflows among the 19 products
+    # that follow; inf times the zero off-diagonal entries gives nan there
+    n, n_full = 100, 5000
+    squarings, products = experiments._power_plan(n_full, n)
+    assert (squarings, n_full >> squarings) == (8, 19)
+    assert np.isfinite(1.5 ** 2**squarings)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        propagate(lambda u, h: 1.5 * u, np.ones(n), float(n_full), 1.0)
+
+
 def test_integrate_telegraph_matches_matrix_power():
     eps, t_final = 0.1, 0.3
     space, ops = experiments._build_case(16, 1, experiments.CONVERGENCE_ALPHAS,
@@ -309,7 +385,35 @@ def test_run_convergence_records_steps_per_case():
         n_steps = rec["n_steps"]
         assert ((n_steps - 1) * rec["dt"] < t_final
                 <= n_steps * rec["dt"] * (1 + 1e-12))
+        n_full, _ = _step_count(t_final, rec["dt"])
+        # the telegraph state (rho, gt) of N + 1 cells
+        n = 2 * (row["n_background"] + len(SMALL["alphas"])) * (row["p"] + 1)
+        assert (rec["squarings"], rec["products"]) == (
+            experiments._power_plan(n_full, n))
     json.dumps(table.metadata)  # the records serialize with the table
+
+
+def test_run_convergence_assembles_each_case_once_for_all_epsilons(monkeypatch):
+    case = dict(SMALL_CONVERGENCE, epsilons=(1e-1, 1e-3))
+    alone = [run_convergence(**dict(case, epsilons=(eps,)))
+             for eps in case["epsilons"]]
+    calls = []
+    build = experiments._build_case
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_build_case", counted)
+    table = run_convergence(**case)
+    assert len(calls) == len(case["cells"])
+    # the rows and step records of each epsilon alone, one epsilon after
+    # the other; json.dumps compares the nan orders too
+    for key in ("rows", "steps"):
+        got = table.rows if key == "rows" else table.metadata["steps"]
+        want = [x for t in alone
+                for x in (t.rows if key == "rows" else t.metadata["steps"])]
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_run_convergence_order_over_a_skipped_cell_count_is_the_mean_order():
@@ -343,6 +447,10 @@ def test_run_asymptotic_records_steps_per_case():
         n_steps = rec["n_steps"]
         assert ((n_steps - 1) * rec["dt"] < t_final
                 <= n_steps * rec["dt"] * (1 + 1e-12))
+        # the telegraph state (rho, gt) of 16 + 1 cells
+        n = 2 * 17 * (rec["p"] + 1)
+        assert (rec["squarings"], rec["products"]) == experiments._power_plan(
+            _step_count(t_final, rec["dt"])[0], n)
 
 
 def test_run_convergence_heat_variant():
@@ -352,6 +460,11 @@ def test_run_convergence_heat_variant():
     assert all(r["epsilon"] == 0.0 for r in rows)
     assert all(r["err_gt"] == 0.0 for r in rows)
     assert rows[1]["eoc_rho"] > 1.5
+    for rec, row in zip(table.metadata["steps"], rows):
+        # the heat limit steps rho alone
+        n = (row["n_background"] + len(SMALL["alphas"])) * (row["p"] + 1)
+        assert (rec["squarings"], rec["products"]) == experiments._power_plan(
+            _step_count(0.05, rec["dt"])[0], n)
 
 
 def test_run_asymptotic_integrates_the_heat_limit_once_per_case(monkeypatch):
