@@ -55,8 +55,6 @@ from .time_integration import (
 DOMAIN = (-np.pi, np.pi)
 # pre-factors of the hyperbolic CFL dt = C/(2p+1) * eps * dx
 C_PRE = {0: 0.5, 1: 0.3, 2: 0.15}
-# heat-limit (explicit, parabolic) variant overrides p=2
-C_PRE_HEAT = {0: 0.5, 1: 0.3, 2: 0.0375}
 CONVERGENCE_ALPHAS = (1e-7, 1e-3, 1e-1, 0.3, 0.49)
 CONDITION_ALPHAS = (1e-7, 1e-3, 1e-1, 0.25, 0.4, 0.49)
 
@@ -250,13 +248,12 @@ def propagate(apply_step, state, t_final, dt):
     return out
 
 
-def _integrate_telegraph(space, ops, eps, tab_name, t_final, dt, state0):
+def _integrate_telegraph(ops, eps, tab_name, t_final, dt, state0):
     system = telegraph_system(ops, eps)
     tab = builtin_tableau(tab_name)
     v = propagate(_telegraph_action(system, tab), np.concatenate(state0),
                   t_final, dt)
-    n = space.n_dofs
-    return v[:n], v[n:]
+    return np.split(v, 2)
 
 
 def _integrate_heat_explicit(L, tab_name, t_final, dt, rho0):
@@ -279,46 +276,29 @@ def _record_steps(table, t_final, dt, n, **case):
 
 def _convergence_case(space, ops, p, eps, t_final, tableau):
     """(dx, dt, state size, err_rho, err_gt, status) of one convergence
-    case; eps == 0.0 integrates the explicit heat limit."""
+    case: the telegraph system integrated from its exact solution with the
+    hyperbolic step dt = C_PRE[p] / (2p+1) * eps * dx, on the stacked state
+    (rho, gt). Raises ValueError unless 0 < eps <= 1/2, where the exact
+    solution exists."""
     dx = space.mesh.background_dx
-    if eps == 0.0:
-        # the parabolic constant absorbs one domain length, like
-        # parabolic_dt; with the plain dx^2 the p = 1, 2 runs sit outside
-        # the explicit stability interval
-        dt = C_PRE_HEAT[p] / (2 * p + 1) * dx**2 / (DOMAIN[1] - DOMAIN[0])
-        n = space.n_dofs
-    else:
-        dt = C_PRE[p] / (2 * p + 1) * eps * dx
-        n = 2 * space.n_dofs
-    status = "ok"
+    dt = C_PRE[p] / (2 * p + 1) * eps * dx
+    n = 2 * space.n_dofs
+    rho_ex, gt_ex, _ = exact_telegraph(eps)
+    state0 = (project(space, lambda x: rho_ex(x, 0.0)),
+              project(space, lambda x: gt_ex(x, 0.0)))
     try:
-        if eps == 0.0:
-            rho0 = project(space, np.sin)
-            rho = _integrate_heat_explicit(heat_system(ops), tableau,
-                                           t_final, dt, rho0)
-            decay = np.exp(-t_final)
-            err_rho = l2_error(space, rho, lambda x: decay * np.sin(x))
-            err_gt = 0.0
-        else:
-            rho_ex, gt_ex, _ = exact_telegraph(eps)
-            state0 = (project(space, lambda x: rho_ex(x, 0.0)),
-                      project(space, lambda x: gt_ex(x, 0.0)))
-            rho, gt = _integrate_telegraph(space, ops, eps, tableau, t_final,
-                                           dt, state0)
-            err_rho = l2_error(space, rho, lambda x: rho_ex(x, t_final))
-            err_gt = l2_error(space, gt, lambda x: gt_ex(x, t_final))
+        rho, gt = _integrate_telegraph(ops, eps, tableau, t_final, dt, state0)
     except FloatingPointError:
-        err_rho = err_gt = float("nan")
-        status = "unstable"
-    return dx, dt, n, err_rho, err_gt, status
+        return dx, dt, n, float("nan"), float("nan"), "unstable"
+    return (dx, dt, n, l2_error(space, rho, lambda x: rho_ex(x, t_final)),
+            l2_error(space, gt, lambda x: gt_ex(x, t_final)), "ok")
 
 
 def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
                     cells=(16, 32, 64, 128), alphas=CONVERGENCE_ALPHAS,
                     epsilons=(1e-1, 1e-3), t_final=1.0,
                     tableau="ARS443") -> ResultTable:
-    """L2 errors and orders against the exact telegraph solution; rows
-    with epsilon == 0.0 integrate the explicit heat limit instead. An
+    """L2 errors and orders against the exact telegraph solution. An
     order compares a row with the previous cell count, per halving of dx,
     so the distinct cell counts need not double. The operators do not
     depend on epsilon, so each (pairing, p, cell count) case is assembled
@@ -357,8 +337,7 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
                         # orders per halving of dx; 1.0 when N doubles
                         halvings = np.log2(n_bg / prev[3])
                         eoc_rho = float(np.log2(prev[1] / err_rho) / halvings)
-                        if err_gt > 0 and prev[2] > 0:
-                            eoc_gt = float(np.log2(prev[2] / err_gt) / halvings)
+                        eoc_gt = float(np.log2(prev[2] / err_gt) / halvings)
                     table.add(
                         pairing=pairing, p=p, epsilon=eps, n_background=n_bg,
                         dx=dx, err_rho=err_rho, err_gt=err_gt,
@@ -402,7 +381,7 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
                 r = decay_rate(eps) if eps <= 0.5 else -1.0
                 state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
                 rho_tel, _ = _integrate_telegraph(
-                    space, ops, eps, tab_name, t_final, dt, state0,
+                    ops, eps, tab_name, t_final, dt, state0,
                 )
                 diff = l2_norm_of_vector(space, rho_tel - heat_sin / r,
                                          ops.mass_diag)

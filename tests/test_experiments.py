@@ -300,8 +300,8 @@ def test_integrate_telegraph_matches_matrix_power():
     rng = np.random.default_rng(3)
     state0 = (rng.standard_normal(space.n_dofs),
               rng.standard_normal(space.n_dofs))
-    rho, gt = experiments._integrate_telegraph(space, ops, eps, "ARS443",
-                                               t_final, dt, state0)
+    rho, gt = experiments._integrate_telegraph(ops, eps, "ARS443", t_final,
+                                               dt, state0)
     system = telegraph_system(ops, eps)
     tab = builtin_tableau("ARS443")
     n_full = int(np.floor(t_final / dt + 1e-12))
@@ -358,6 +358,7 @@ def test_run_convergence_orders_and_columns():
     assert len(rows) == 2
     assert rows[0]["status"] == rows[1]["status"] == "ok"
     assert rows[1]["eoc_rho"] > 1.5  # p=1 once the mesh pair resolves it
+    assert rows[1]["eoc_gt"] > 1.5
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -453,18 +454,11 @@ def test_run_asymptotic_records_steps_per_case():
             _step_count(t_final, rec["dt"])[0], n)
 
 
-def test_run_convergence_heat_variant():
-    table = run_convergence(**dict(SMALL_CONVERGENCE, epsilons=(0.0,),
-                                   t_final=0.05))
-    rows = table.rows
-    assert all(r["epsilon"] == 0.0 for r in rows)
-    assert all(r["err_gt"] == 0.0 for r in rows)
-    assert rows[1]["eoc_rho"] > 1.5
-    for rec, row in zip(table.metadata["steps"], rows):
-        # the heat limit steps rho alone
-        n = (row["n_background"] + len(SMALL["alphas"])) * (row["p"] + 1)
-        assert (rec["squarings"], rec["products"]) == experiments._power_plan(
-            _step_count(0.05, rec["dt"])[0], n)
+def test_run_convergence_rejects_epsilon_zero():
+    # the exact telegraph solution needs 0 < eps <= 1/2; the heat limit is
+    # the asymptotic study's
+    with pytest.raises(ValueError, match="0 < eps <= 1/2"):
+        run_convergence(epsilons=(0.0,))
 
 
 def test_run_asymptotic_integrates_the_heat_limit_once_per_case(monkeypatch):
@@ -493,7 +487,7 @@ def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
         r = decay_rate(row["epsilon"])
         state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
         rho_tel, _ = experiments._integrate_telegraph(
-            space, ops, row["epsilon"], "ARS443", t_final, dt, state0)
+            ops, row["epsilon"], "ARS443", t_final, dt, state0)
         rho_heat = experiments._integrate_heat_explicit(
             heat_system(ops), "ARS443", t_final, dt, state0[0])
         want = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
