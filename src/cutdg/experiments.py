@@ -4,7 +4,14 @@ Each runner takes exactly the parameters its study reads, as keyword
 arguments whose defaults are the reference study; it records them in
 metadata["config"] and returns a ResultTable. All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
-once (one batched stepper call over identity columns).
+once, by one batched stepper call (linear_step_matrix). A telegraph or
+explicit-heat step couples only cells at most its reach R apart, a reach
+computed from the assembled operators and the tableau (_telegraph_band,
+_heat_band), so the stepper runs on probe columns, each the sum of
+identity columns whose cells lie at least 2R + 1 apart, and every entry
+of the matrix is still the stepper's own output. Where fewer than two
+such runs of cells fit, and for the implicit-heat step, whose matrix is
+dense, the stepper runs on the identity columns.
 The telegraph and explicit-heat integrations then propagate by a planned
 power: the step matrix is squared j times, with each set bit below 2^j
 applied to the state as a matrix-vector product, its 2^j-th power is
@@ -21,6 +28,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,10 +144,64 @@ def _build_case(n_background, p, alphas, pairing, variant="dod"):
     return space, operator_pair(space, pairing, eta=eta)
 
 
+class StepBand(NamedTuple):
+    """Cell structure of a linear step on `fields` stacked fields of
+    `cells` periodic cells with `nodes` dofs each: an output dof depends
+    only on input dofs at most `reach` cells away, cyclically."""
+
+    fields: int
+    cells: int
+    nodes: int
+    reach: int
+
+
+def _cell_reach(nodes, *operators):
+    """Largest cyclic cell distance between the row and column cells of a
+    nonzero nodes x nodes block of any of the operators."""
+    cells = operators[0].shape[0] // nodes
+    coupled = np.zeros((cells, cells), dtype=bool)
+    for A in operators:
+        # or over the node-strided slices: a reduction over the node axes
+        # of A.reshape(cells, nodes, cells, nodes) takes ~5x longer
+        nonzero = A != 0
+        rows = np.any([nonzero[a::nodes] for a in range(nodes)], axis=0)
+        coupled |= np.any([rows[:, b::nodes] for b in range(nodes)], axis=0)
+    d = np.abs(np.subtract(*np.nonzero(coupled)))
+    return int(np.max(np.minimum(d, cells - d), initial=0))
+
+
 def _stepper_for(tab):
     """The eps-rescaled ARS stepper for ARS tableaux, the plain IMEX step
     otherwise."""
     return stable_ars_step if tab.classification == "ARS" else imex_step
+
+
+# The reach of one step is the operators' cell reach r times the operator
+# applications on the longest path from the old state to the new one:
+# - stable_ars_step, 2(s - 1). Its first ARS stage is explicit, the old
+#   state itself. Stage k takes rho_k from D^rho on the earlier gt stages
+#   and gt_k from D^gt on rho_k, so gt_k lies 2(k - 1) applications from
+#   the old state and rho_k 2k - 3, and the update is stage s.
+# - imex_step, 2s. Its first stage is implicit already: gt_1 needs
+#   D^gt rho_1. So stage k's rho lies 2(k - 1) and its gt 2k - 1
+#   applications away, and the weight sum applies D^rho and D^+ - D^- once
+#   more to the last gt.
+# - explicit_limit_step, s applications of L = D^rho D^gt, one per stage,
+#   with r read from L itself.
+def _telegraph_band(ops, tab):
+    """StepBand of one telegraph step of _stepper_for(tab) on (rho, gt)."""
+    nodes = ops.space.nodes_per_cell
+    s = tab.s
+    applications = 2 * (s - 1) if tab.classification == "ARS" else 2 * s
+    r = _cell_reach(nodes, ops.d_rho, ops.d_gt, ops.d_diff)
+    return StepBand(2, ops.space.mesh.n_cells, nodes, applications * r)
+
+
+def _heat_band(ops, L, tab):
+    """StepBand of one explicit_limit_step of L = heat_system(ops)."""
+    nodes = ops.space.nodes_per_cell
+    return StepBand(1, ops.space.mesh.n_cells, nodes,
+                    tab.s * _cell_reach(nodes, L))
 
 
 def _telegraph_action(system, tab):
@@ -155,15 +217,67 @@ def _telegraph_action(system, tab):
 
 
 def telegraph_step_matrix(system, tab, dt):
-    """One-step matrix of the linear IMEX update on stacked (rho, gt)."""
+    """One-step matrix of the linear IMEX update on stacked (rho, gt),
+    built on the identity columns."""
     apply_step = _telegraph_action(system, tab)
     return linear_step_matrix(lambda u: apply_step(u, dt),
                               2 * system.d_rho.shape[0])
 
 
-def linear_step_matrix(apply_step, n):
-    """One-step matrix of any linear map given its batched action."""
-    return apply_step(np.eye(n))
+def _probe_positions(band):
+    """Probe position of each cell, or None when the cells hold fewer than
+    two runs of 2 reach + 1 cells. A cell's position is its place within
+    one of the cells // (2 reach + 1) runs of consecutive cells, split as
+    evenly as np.array_split splits. Every run then has at least
+    2 reach + 1 cells, so two cells of one position lie at least that far
+    apart, cyclically."""
+    runs = band.cells // (2 * band.reach + 1)
+    if runs < 2:
+        return None
+    return np.concatenate([np.arange(len(run)) for run in
+                           np.array_split(np.arange(band.cells), runs)])
+
+
+def _step_columns(band):
+    """Columns linear_step_matrix runs the stepper on for this band."""
+    positions = _probe_positions(band)
+    width = band.cells if positions is None else int(positions.max()) + 1
+    return band.fields * width * band.nodes
+
+
+def linear_step_matrix(apply_step, n, band=None):
+    """One-step matrix of a linear map of states of size n, given its
+    batched action on (n, m) blocks.
+
+    Without a band, or when the band's cells hold fewer than two runs of
+    2 reach + 1 cells, the action runs on the n identity columns. Otherwise
+    it runs on probe columns (Curtis, Powell & Reid, IMA J. Appl. Math. 13,
+    1974): the probe of a (field, cell, node) column is its field, its
+    cell's position within its run (_probe_positions) and its node, and a
+    probe column is the sum of its identity columns. A column's nonzeros lie
+    within reach cells of its own cell, where no other column of its probe
+    reaches. So each column is gathered from its probe's output, and every
+    entry more than reach cells away is set to zero by assignment, which
+    keeps a non-finite entry of one column out of the others.
+    """
+    positions = None if band is None else _probe_positions(band)
+    if positions is None:
+        return apply_step(np.eye(n))
+    fields, cells, nodes, reach = band
+    width = int(positions.max()) + 1
+    probe = ((np.arange(fields)[:, None, None] * width + positions[:, None])
+             * nodes + np.arange(nodes)).ravel()
+    probes = np.zeros((n, fields * width * nodes))
+    probes[np.arange(n), probe] = 1.0
+    # take, unlike [:, probe], returns S in C order, as the identity build
+    S = np.take(apply_step(probes), probe, axis=1)
+    # far[i, (j, b)]: row cell i lies more than reach cells from column
+    # cell j; a whole cell of column nodes per row keeps the inner loop long
+    d = np.subtract.outer(np.arange(cells), np.arange(cells)) % cells
+    far = np.repeat((d > reach) & (d < cells - reach), nodes, axis=1)
+    np.copyto(S.reshape(fields, cells, nodes, fields, cells * nodes), 0.0,
+              where=far[:, None, None, :])
+    return S
 
 
 def _check_time_span(t_final, dt=None):
@@ -212,13 +326,14 @@ def _power_plan(n_full, n):
     return j, (n_full & ((1 << j) - 1)).bit_count() + (n_full >> j)
 
 
-def propagate(apply_step, state, t_final, dt):
+def propagate(apply_step, state, t_final, dt, band=None):
     """Advance a state vector to t_final with fixed steps.
 
     apply_step(u, h) is the batched linear one-step action: u is the state
     (n,) or a block of states (n, m). The dt step matrix S is built once,
-    by one apply_step call on the identity (no matrix is built when
-    t_final < dt), and raised to the number of full steps as _power_plan
+    by one apply_step call on the probe columns of the step's StepBand, or
+    on the identity without one (linear_step_matrix; no matrix is built
+    when t_final < dt), and raised to the number of full steps as _power_plan
     says: j squarings, with each set bit's power below 2^j applied to the
     state as a matrix-vector product, then n_full >> j products with
     S^(2^j). A shorter closing step, one apply_step call on the state,
@@ -232,7 +347,8 @@ def propagate(apply_step, state, t_final, dt):
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         if n_full:
-            power = linear_step_matrix(lambda u: apply_step(u, dt), len(state))
+            power = linear_step_matrix(lambda u: apply_step(u, dt),
+                                       len(state), band)
             for bit in range(squarings):
                 if n_full >> bit & 1:
                     out = power @ out
@@ -248,49 +364,57 @@ def propagate(apply_step, state, t_final, dt):
     return out
 
 
-def _integrate_telegraph(ops, eps, tab_name, t_final, dt, state0):
+def _integrate_telegraph(ops, eps, tab_name, t_final, dt, state0, band):
+    """state0 = (rho, gt) advanced to t_final; band is the StepBand of the
+    tableau's step, _telegraph_band(ops, tab), which no epsilon changes."""
     system = telegraph_system(ops, eps)
     tab = builtin_tableau(tab_name)
     v = propagate(_telegraph_action(system, tab), np.concatenate(state0),
-                  t_final, dt)
+                  t_final, dt, band)
     return np.split(v, 2)
 
 
-def _integrate_heat_explicit(L, tab_name, t_final, dt, rho0):
+def _integrate_heat_explicit(ops, tab_name, t_final, dt, rho0):
+    """rho0 advanced by the explicit part of the tableau on the heat limit
+    rho_t = L rho, L = heat_system(ops)."""
+    L = heat_system(ops)
     tab = builtin_tableau(tab_name)
     return propagate(lambda u, h: explicit_limit_step(L, tab, u, h),
-                     rho0, t_final, dt)
+                     rho0, t_final, dt, _heat_band(ops, L, tab))
 
 
-def _record_steps(table, t_final, dt, n, **case):
+def _record_steps(table, t_final, dt, band, **case):
     """Append one case's dt, number of steps taken (the closing step
-    included) and the squarings and products of _power_plan for a state of
-    size n to table.metadata["steps"]."""
+    included), the squarings and products of _power_plan for the state of
+    the StepBand band, its reach in cells and the columns the stepper runs
+    on to build the step matrix to table.metadata["steps"]."""
     n_full, rem = _step_count(t_final, dt)
-    squarings, products = _power_plan(n_full, n)
+    squarings, products = _power_plan(
+        n_full, band.fields * band.cells * band.nodes)
     table.metadata.setdefault("steps", []).append(
         {**case, "dt": dt, "n_steps": n_full + (rem > 0),
-         "squarings": squarings, "products": products}
+         "squarings": squarings, "products": products,
+         "reach": band.reach, "step_columns": _step_columns(band)}
     )
 
 
-def _convergence_case(space, ops, p, eps, t_final, tableau):
-    """(dx, dt, state size, err_rho, err_gt, status) of one convergence
-    case: the telegraph system integrated from its exact solution with the
+def _convergence_case(space, ops, band, p, eps, t_final, tableau):
+    """(dx, dt, err_rho, err_gt, status) of one convergence case: the
+    telegraph system integrated from its exact solution with the
     hyperbolic step dt = C_PRE[p] / (2p+1) * eps * dx, on the stacked state
-    (rho, gt). Raises ValueError unless 0 < eps <= 1/2, where the exact
-    solution exists."""
+    (rho, gt) of the StepBand band. Raises ValueError unless
+    0 < eps <= 1/2, where the exact solution exists."""
     dx = space.mesh.background_dx
     dt = C_PRE[p] / (2 * p + 1) * eps * dx
-    n = 2 * space.n_dofs
     rho_ex, gt_ex, _ = exact_telegraph(eps)
     state0 = (project(space, lambda x: rho_ex(x, 0.0)),
               project(space, lambda x: gt_ex(x, 0.0)))
     try:
-        rho, gt = _integrate_telegraph(ops, eps, tableau, t_final, dt, state0)
+        rho, gt = _integrate_telegraph(ops, eps, tableau, t_final, dt, state0,
+                                       band)
     except FloatingPointError:
-        return dx, dt, n, float("nan"), float("nan"), "unstable"
-    return (dx, dt, n, l2_error(space, rho, lambda x: rho_ex(x, t_final)),
+        return dx, dt, float("nan"), float("nan"), "unstable"
+    return (dx, dt, l2_error(space, rho, lambda x: rho_ex(x, t_final)),
             l2_error(space, gt, lambda x: gt_ex(x, t_final)), "ok")
 
 
@@ -309,7 +433,8 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
     number of steps taken, the closing step included (a shorter closing
     step lands on t_final when it is not a whole number of steps), and
     the squarings and matrix-vector products propagate spends on the full
-    steps.
+    steps, the reach of one step in cells and the columns the stepper runs
+    on to build its matrix (2n on the identity).
     """
     if len(set(cells)) < len(cells):
         raise ValueError(f"cells must be distinct, got {cells!r}")
@@ -318,20 +443,23 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
                  "err_rho", "err_gt", "eoc_rho", "eoc_gt", "status"),
         metadata=_metadata(locals()),
     )
+    tab = builtin_tableau(tableau)
     for pairing in pairings:
         for p in degrees:
-            cases = {}
+            cases, bands = {}, {}
             for n_bg in cells:
                 space, ops = _build_case(n_bg, p, alphas, pairing)
+                bands[n_bg] = band = _telegraph_band(ops, tab)
                 for eps in epsilons:
-                    cases[eps, n_bg] = _convergence_case(space, ops, p, eps,
-                                                         t_final, tableau)
+                    cases[eps, n_bg] = _convergence_case(
+                        space, ops, band, p, eps, t_final, tableau)
             for eps in epsilons:
                 prev = None
                 for n_bg in cells:
-                    dx, dt, n, err_rho, err_gt, status = cases[eps, n_bg]
-                    _record_steps(table, t_final, dt, n, pairing=pairing,
-                                  p=p, epsilon=eps, n_background=n_bg)
+                    dx, dt, err_rho, err_gt, status = cases[eps, n_bg]
+                    _record_steps(table, t_final, dt, bands[n_bg],
+                                  pairing=pairing, p=p, epsilon=eps,
+                                  n_background=n_bg)
                     eoc_rho = eoc_gt = float("nan")
                     if prev is not None and status == "ok" and prev[0] == "ok":
                         # orders per halving of dx; 1.0 when N doubles
@@ -355,10 +483,10 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
 
     Both integrations of a (tableau, p) case share one dt for every
     epsilon; metadata["steps"] holds one record per case with dt, the
-    number of steps taken, the closing step included, and the squarings
-    and matrix-vector products of each of its telegraph integrations,
-    which all share one state size 2n. The heat limit does
-    not depend on epsilon and its initial data sin(x) / r scale with 1/r,
+    number of steps taken, the closing step included, and the squarings,
+    matrix-vector products, reach and step-matrix columns of each of its
+    telegraph integrations, which all share one StepBand. The heat limit
+    does not depend on epsilon and its initial data sin(x) / r scale with 1/r,
     so it is integrated once per case from sin(x) and divided by r for
     each epsilon.
     """
@@ -367,21 +495,21 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
         metadata=_metadata(locals()),
     )
     for tab_name in tableaux:
-        stepper = _stepper_for(builtin_tableau(tab_name)).__name__
+        tab = builtin_tableau(tab_name)
+        stepper = _stepper_for(tab).__name__
         for p in degrees:
             space, ops = _build_case(cells, p, alphas, pairing)
             dt = parabolic_dt(space.mesh.background_dx, p)
-            _record_steps(table, t_final, dt, 2 * space.n_dofs,
-                          tableau=tab_name, p=p)
+            band = _telegraph_band(ops, tab)
+            _record_steps(table, t_final, dt, band, tableau=tab_name, p=p)
             heat_sin = _integrate_heat_explicit(
-                heat_system(ops), tab_name, t_final, dt,
-                project(space, np.sin),
+                ops, tab_name, t_final, dt, project(space, np.sin),
             )
             for eps in epsilons:
                 r = decay_rate(eps) if eps <= 0.5 else -1.0
                 state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
                 rho_tel, _ = _integrate_telegraph(
-                    ops, eps, tab_name, t_final, dt, state0,
+                    ops, eps, tab_name, t_final, dt, state0, band,
                 )
                 diff = l2_norm_of_vector(space, rho_tel - heat_sin / r,
                                          ops.mass_diag)

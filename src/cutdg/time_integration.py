@@ -124,15 +124,13 @@ def imex_step(system, tab: IMEXTableau, state, dt):
 
     This is the textbook formulation with explicit 1/eps^2 arithmetic; it
     degrades by roundoff for very small eps (the rescaled variant below
-    avoids that).
+    avoids that). The stage terms f and g are the system's own
+    explicit_rhs and implicit_rhs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     eps = system.eps
-    if eps == 0:
-        raise ValueError("eps = 0 is not integrable here; use the heat path")
     rho_n, gt_n = state
-    d_rho, d_gt, d_diff = system.d_rho, system.d_gt, system.d_diff
     s = tab.s
     ae, ai = tab.a_expl, tab.a_impl
 
@@ -144,12 +142,13 @@ def imex_step(system, tab: IMEXTableau, state, dt):
             gt_n
             + dt * sum(ae[k, i] * f_gt[i] for i in range(k))
             + dt * sum(ai[k, i] * g_gt[i] for i in range(k))
-            - (dt * ai[k, k] / eps**2) * (d_gt @ rho_k)
+            - (dt * ai[k, k] / eps**2) * (system.d_gt @ rho_k)
         )
         gt_k = rhs / (1.0 + dt * ai[k, k] / eps**2)
-        f_rho.append(-(d_rho @ gt_k))
-        f_gt.append((d_diff @ gt_k) / (2.0 * eps))
-        g_gt.append(-(d_gt @ rho_k + gt_k) / eps**2)
+        f_k = system.explicit_rhs((rho_k, gt_k))
+        f_rho.append(f_k[0])
+        f_gt.append(f_k[1])
+        g_gt.append(system.implicit_rhs((rho_k, gt_k))[1])
 
     if tab.gsa:
         # last stage equals the update; skips the cancellation-prone

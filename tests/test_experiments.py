@@ -17,6 +17,7 @@ from cutdg.models import (decay_rate, heat_system, telegraph_system,
                           well_prepared_init)
 from cutdg.time_integration import (
     builtin_tableau,
+    explicit_limit_step,
     imex_step,
     implicit_midpoint_heat_step,
     stable_ars_step,
@@ -300,10 +301,11 @@ def test_integrate_telegraph_matches_matrix_power():
     rng = np.random.default_rng(3)
     state0 = (rng.standard_normal(space.n_dofs),
               rng.standard_normal(space.n_dofs))
-    rho, gt = experiments._integrate_telegraph(ops, eps, "ARS443", t_final,
-                                               dt, state0)
-    system = telegraph_system(ops, eps)
     tab = builtin_tableau("ARS443")
+    rho, gt = experiments._integrate_telegraph(
+        ops, eps, "ARS443", t_final, dt, state0,
+        experiments._telegraph_band(ops, tab))
+    system = telegraph_system(ops, eps)
     n_full = int(np.floor(t_final / dt + 1e-12))
     rem = t_final - n_full * dt
     assert rem > 1e-12 * dt  # the case closes with a short step
@@ -317,6 +319,76 @@ def test_integrate_telegraph_matches_matrix_power():
 def test_linear_step_matrix_is_the_identity_image():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(linear_step_matrix(lambda u: A @ u, 2), A)
+
+
+def _cell_distance_reached(S, band):
+    """Largest cyclic cell distance of a nonzero entry of S."""
+    f, c, k, _ = band
+    blocks = np.any(S.reshape(f, c, k, f, c, k) != 0, axis=(0, 2, 3, 5))
+    d = np.abs(np.subtract(*np.nonzero(blocks)))
+    return int(np.minimum(d, c - d).max())
+
+
+@pytest.mark.parametrize("variant", experiments.VARIANTS)
+@pytest.mark.parametrize("pairing", ["mp", "pm", "central"])
+def test_band_build_equals_identity_build(pairing, variant):
+    # N = 64, p = 1 with five cuts: 69 cells, which hold two runs of
+    # 2R + 1 cells for every stepper here. A large dt keeps the far entries
+    # of each column well above roundoff
+    space, ops = experiments._build_case(64, 1, experiments.CONVERGENCE_ALPHAS,
+                                         pairing, variant)
+    dt = 0.05
+    system = telegraph_system(ops, 0.1)
+    L = heat_system(ops)
+    ars = builtin_tableau("ARS443")
+    cases = [(experiments._telegraph_action(system, tab),
+              experiments._telegraph_band(ops, tab))
+             for tab in (ars, builtin_tableau("SSP2-332"))]
+    cases.append((lambda u, h: explicit_limit_step(L, ars, u, h),
+                   experiments._heat_band(ops, L, ars)))
+    for apply_step, band in cases:
+        n = band.fields * band.cells * band.nodes
+        assert experiments._step_columns(band) < n  # the probe path
+
+        def step(u):
+            return apply_step(u, dt)
+
+        S = linear_step_matrix(step, n)
+        assert _cell_distance_reached(S, band) <= band.reach
+        got = linear_step_matrix(step, n, band)
+        assert np.abs(got - S).max() <= 1e-14 * np.abs(S).max()
+
+
+@pytest.mark.parametrize("cells", [16, 32])
+def test_band_build_with_fewer_than_two_runs_is_the_identity_build(cells):
+    # N + 5 = 21 and 37 cells hold fewer than two runs of 2R + 1 = 33 cells
+    space, ops = experiments._build_case(cells, 1,
+                                         experiments.CONVERGENCE_ALPHAS, "mp")
+    tab = builtin_tableau("ARS443")
+    apply_step = experiments._telegraph_action(telegraph_system(ops, 0.1), tab)
+    band = experiments._telegraph_band(ops, tab)
+    n = 2 * space.n_dofs
+    assert band.reach == 16 and experiments._step_columns(band) == n
+
+    def step(u):
+        return apply_step(u, 1e-3)
+
+    assert np.array_equal(linear_step_matrix(step, n, band),
+                          linear_step_matrix(step, n))
+
+
+@pytest.mark.parametrize("variant, tableau, r", [
+    ("dod", "ARS443", 2), ("dod", "SSP2-332", 2),
+    ("unstabilized", "ARS443", 1), ("background", "SSP2-332", 1)])
+def test_telegraph_reach_is_the_operator_reach_times_the_applications(
+        variant, tableau, r):
+    # the DoD flux couples cell c - 1 with c + 1; ARS443 applies an
+    # operator 2(s - 1) = 8 times on its longest path, SSP2-332 2s = 6 times
+    _, ops = experiments._build_case(16, 1, (0.3,), "mp", variant)
+    tab = builtin_tableau(tableau)
+    applications = {"ARS443": 8, "SSP2-332": 6}[tableau]
+    assert experiments._telegraph_band(ops, tab) == experiments.StepBand(
+        2, 16 + (variant != "background"), 2, r * applications)
 
 
 def test_build_case_variants():
@@ -391,7 +463,34 @@ def test_run_convergence_records_steps_per_case():
         n = 2 * (row["n_background"] + len(SMALL["alphas"])) * (row["p"] + 1)
         assert (rec["squarings"], rec["products"]) == (
             experiments._power_plan(n_full, n))
+        # ARS443 applies the DoD operators, of cell reach 2, 2(s - 1) = 8
+        # times per step; N + 1 <= 33 cells hold no two runs of 2R + 1 = 33,
+        # so the stepper runs on the 2n identity columns
+        assert (rec["reach"], rec["step_columns"]) == (16, n)
     json.dumps(table.metadata)  # the records serialize with the table
+
+
+def test_step_records_name_the_columns_the_stepper_ran_on(monkeypatch):
+    # N = 64 with five cuts: 69 cells split into two runs of 35 and 34, so
+    # the stepper runs on 2 fields * 35 positions * 2 nodes = 140 columns
+    seen = []
+    build = experiments.linear_step_matrix
+
+    def recorded(apply_step, n, band=None):
+        def counted(u):
+            seen.append((n, u.shape[1], band))
+            return apply_step(u)
+
+        return build(counted, n, band)
+
+    monkeypatch.setattr(experiments, "linear_step_matrix", recorded)
+    table = run_convergence(degrees=(1,), cells=(64,), epsilons=(1e-1,),
+                            t_final=0.1)
+    (rec,) = table.metadata["steps"]
+    ((n, columns, band),) = seen
+    assert n == 2 * 69 * 2
+    assert (rec["reach"], rec["step_columns"]) == (band.reach, columns)
+    assert (rec["reach"], rec["step_columns"]) == (16, 140)
 
 
 def test_run_convergence_assembles_each_case_once_for_all_epsilons(monkeypatch):
@@ -452,6 +551,8 @@ def test_run_asymptotic_records_steps_per_case():
         n = 2 * 17 * (rec["p"] + 1)
         assert (rec["squarings"], rec["products"]) == experiments._power_plan(
             _step_count(t_final, rec["dt"])[0], n)
+        # 17 cells hold no two runs of 2R + 1 = 33 cells
+        assert (rec["reach"], rec["step_columns"]) == (16, n)
 
 
 def test_run_convergence_rejects_epsilon_zero():
@@ -487,9 +588,10 @@ def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
         r = decay_rate(row["epsilon"])
         state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
         rho_tel, _ = experiments._integrate_telegraph(
-            ops, row["epsilon"], "ARS443", t_final, dt, state0)
+            ops, row["epsilon"], "ARS443", t_final, dt, state0,
+            experiments._telegraph_band(ops, builtin_tableau("ARS443")))
         rho_heat = experiments._integrate_heat_explicit(
-            heat_system(ops), "ARS443", t_final, dt, state0[0])
+            ops, "ARS443", t_final, dt, state0[0])
         want = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
         assert row["diff_l2"] == pytest.approx(want, rel=1e-7, abs=1e-14)
         assert row["stepper"] == "stable_ars_step"
