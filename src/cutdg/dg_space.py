@@ -6,6 +6,7 @@ polynomials up to degree 2p+1. Polynomials extend naturally beyond their
 own cell (barycentric evaluation works for any reference coordinate).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,16 @@ MAX_DEGREE = 10
 L2_EXTRA_POINTS = 4
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Computed once per n; the arrays are shared, so they are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def barycentric_weights(nodes):

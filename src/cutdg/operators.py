@@ -18,14 +18,17 @@ small cell, in mesh order, into the background B.
 assemble_stabilized builds the stabilized derivative of one flux kind,
 background plus small-cell corrections, directly as defined; with central
 fluxes it is already skew-symmetric under M (periodic SBP). operator_pair
-builds the upwind pair from two stabilized operators for every degree, the
-central Dz and the upwind D^-: split_dissipation forms the symmetric
-dissipation S = sym(M (D^- - Dz)), and symmetrize_upwind_pair returns
-D^+/- = Dz -/+ M^{-1} S, which is dual and dissipative: the diagonal-norm
-upwind SBP form of Mattsson (J. Comput. Phys. 335, 2017).
+builds the upwind pair D^+/- = Dz -/+ M^{-1} S for every degree, which is
+dual and dissipative: the diagonal-norm upwind SBP form of Mattsson
+(J. Comput. Phys. 335, 2017). The stabilized upwind operator D^- is not
+assembled. split_dissipation splits its m-form into the central m-form
+Bz = M Dz and the dissipation S = sym(M (D^- - Dz)), and builds S from its
+local pieces: a block-circulant background part and one symmetric
+3(p+1) x 3(p+1) block per small cell. symmetrize_upwind_pair then forms
+Dz and the pair in the buffers of Bz and S plus one new array.
 Every form is affine in the flux coefficients (H_a, H_b), which sum to 1,
 so the stabilized downwind operator is 2 Dz - D^- up to roundoff and is not
-assembled. At p = 0 the stabilized pair is already dual, and the
+assembled either. At p = 0 the stabilized pair is already dual, and the
 symmetrization moves it only by its roundoff ridge.
 """
 
@@ -98,39 +101,57 @@ def _extended_basis(space, j, x):
     return space.basis_at(j, space.wrap_near(j, x))
 
 
+def _interface_blocks(space, ha, hb):
+    """The four (p+1) x (p+1) blocks one interface adds for flux
+    coefficients (ha, hb): H(u_i, u_{i+1}) [[w]] at x_{i+1/2}, with the test
+    jump [[w]] = w_i(x^-) - w_{i+1}(x^+); test row, trial column.
+
+    Returns the blocks (i, i), (i, i+1), (i+1, i) and (i+1, i+1).
+    """
+    left, right = _ref_traces(space)
+    rr = np.outer(right, ha * right)
+    rl = np.outer(right, hb * left)
+    lr = np.outer(-left, ha * right)
+    ll = np.outer(-left, hb * left)
+    return rr, rl, lr, ll
+
+
+def _block_circulant(space, first, diag, upper, lower):
+    """n_dofs x n_dofs matrix of periodic block tridiagonal structure.
+
+    Block (i, i) is `diag`, but `first` at cell 0; blocks (i, i+1) and
+    (i+1, i) are `upper` and `lower`. Written in one scatter per block
+    diagonal, with no loop over cells.
+    """
+    n, k = space.mesh.n_cells, space.nodes_per_cell
+    B = np.zeros((space.n_dofs, space.n_dofs))
+    blocks = B.reshape(n, k, n, k)  # a view: blocks[i, :, j, :] is (i, j)
+    i = np.arange(n)
+    ip = (i + 1) % n
+    blocks[i[1:], :, i[1:], :] += diag
+    blocks[0, :, 0, :] += first
+    blocks[i, :, ip, :] += upper
+    blocks[ip, :, i, :] += lower
+    return B
+
+
 def assemble_background_mform(space: DGSpace, kind):
     """B = M D for the background DG derivative with flux `kind`.
 
     The -1/+1 reference traces do not depend on the cell size, so every
     interface adds the same four (p+1) x (p+1) blocks and every cell the
-    same volume block: B is block-circulant, and it is written in one
-    scatter per block diagonal. Each diagonal block sums its volume block
-    and the blocks of the interfaces on its left and right, in the order of
-    a loop over interfaces 0..n-1; cell 0 meets its right interface (0)
-    before its left one (n-1), so its sum runs in the other order, which
-    keeps B bitwise equal to the per-interface sum.
+    same volume block: B is block-circulant, written by _block_circulant
+    in one scatter per block diagonal. Each diagonal block sums its
+    volume block and the blocks of the interfaces on its left and right, in
+    the order of a loop over interfaces 0..n-1; cell 0 meets its right
+    interface (0) before its left one (n-1), so its sum runs in the other
+    order, which keeps B bitwise equal to the per-interface sum.
     """
-    ha, hb = _flux_coeffs(kind)
-    n, k = space.mesh.n_cells, space.nodes_per_cell
-    left, right = _ref_traces(space)
     # volume term: -int_E u dx(w); with the collocation basis the block is
     # -(diag(w_ref) @ D_ref)^T independent of the cell size
     vol = -(np.diag(space.ref_weights) @ space.ref_diff).T
-    # interface terms H(u_i, u_{i+1}) [[w]] at x_{i+1/2}, with the test
-    # jump [[w]] = w_i(x^-) - w_{i+1}(x^+): test row, trial column
-    rr = np.outer(right, ha * right)  # cell i, cell i
-    rl = np.outer(right, hb * left)  # cell i, cell i+1
-    lr = np.outer(-left, ha * right)  # cell i+1, cell i
-    ll = np.outer(-left, hb * left)  # cell i+1, cell i+1
-    B = np.zeros((space.n_dofs, space.n_dofs))
-    blocks = B.reshape(n, k, n, k)  # a view: blocks[i, :, j, :] is (i, j)
-    i = np.arange(n)
-    ip = (i + 1) % n
-    blocks[i[1:], :, i[1:], :] += (vol + ll) + rr
-    blocks[0, :, 0, :] += (vol + rr) + ll
-    blocks[i, :, ip, :] += rl
-    blocks[ip, :, i, :] += lr
-    return B
+    rr, rl, lr, ll = _interface_blocks(space, *_flux_coeffs(kind))
+    return _block_circulant(space, (vol + rr) + ll, (vol + ll) + rr, rl, lr)
 
 
 def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
@@ -211,15 +232,19 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
     return dofs, block.reshape(3 * k, 3 * k)
 
 
+def _check_eta(space, eta):
+    missing = [c for c in space.mesh.small_cells if c not in eta]
+    if missing:
+        raise ValueError(f"eta missing for small cells {missing}")
+
+
 def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
     """Full DoD-stabilized derivative: background + sum over small cells.
 
     Each small cell's flux block and then its volume block, with volume
     weights (L_c, R_c), is added to B in mesh order.
     """
-    missing = [c for c in space.mesh.small_cells if c not in eta]
-    if missing:
-        raise ValueError(f"eta missing for small cells {missing}")
+    _check_eta(space, eta)
     B = assemble_background_mform(space, kind)
     # a mesh has at least 4 cells, so the three cells of a block are
     # distinct and no dof repeats within one fancy-indexed +=
@@ -231,40 +256,83 @@ def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
     return B / mass_diagonal(space)[:, None]
 
 
-def split_dissipation(d_minus, d_central, mass_diag):
-    """S = sym(M (D^- - Dz)): the dissipation form of the stabilized upwind
-    operator D^- about the central one Dz (L_c = R_c = 1/2).
+def split_dissipation(space, eta):
+    """Split the stabilized upwind m-form M D^- into Bz + S (L_c = R_c = 1/2).
 
-    Dz is subtracted before symmetrizing, so the roundoff part sym(M Dz)
-    of M D^- does not enter S.
+    Bz = M Dz is the stabilized central m-form: the background central form
+    plus each small cell's flux and then volume block, added as
+    assemble_stabilized adds them, so Bz / M is bitwise
+    assemble_stabilized(space, CENTRAL, eta). S = sym(M (D^- - Dz)) is the
+    symmetric dissipation, built from its local pieces:
+
+    - the background part. The background upwind and central forms share
+      their volume block, and their interface blocks differ by the flux
+      coefficients (1/2, -1/2): 1/2 (r r^T + l l^T) on the diagonal, and
+      -1/2 r l^T and -1/2 l r^T off it. Each entry is a product of two
+      traces halved, so this block-circulant part is exactly symmetric;
+    - per small cell, sym(upwind - central) of its flux plus volume
+      blocks, added at the dofs of cells (c-1, c, c+1).
+
+    Each small cell's central and upwind blocks are computed once. S is
+    exactly symmetric. Returns (bz, s), the only n x n arrays allocated.
     """
-    s = mass_diag[:, None] * (d_minus - d_central)
-    return 0.5 * (s + s.T)
+    _check_eta(space, eta)
+    bz = assemble_background_mform(space, CENTRAL)
+    (ha_up, hb_up), (ha_z, hb_z) = _flux_coeffs(UPWIND), _flux_coeffs(CENTRAL)
+    rr, rl, lr, ll = _interface_blocks(space, ha_up - ha_z, hb_up - hb_z)
+    s = _block_circulant(space, rr + ll, rr + ll, rl, lr)
+    for c in space.mesh.small_cells:
+        dofs, flux = assemble_dod_flux_mform(space, c, CENTRAL, eta[c])
+        _, vol = assemble_dod_volume_mform(space, c, CENTRAL, eta[c])
+        ix = np.ix_(dofs, dofs)
+        bz[ix] += flux
+        bz[ix] += vol
+        diff = ((assemble_dod_flux_mform(space, c, UPWIND, eta[c])[1] - flux)
+                + (assemble_dod_volume_mform(space, c, UPWIND, eta[c])[1] - vol))
+        s[ix] += 0.5 * (diff + diff.T)
+    return bz, s
 
 
-def symmetrize_upwind_pair(d_central, s, mass_diag):
-    """Symmetrized upwind pair (D^{+,symm}, D^{-,symm}) = Dz -/+ M^{-1} S.
+# symmetrize_upwind_pair checks the duality identity this many rows at a
+# time: its temporaries are n x 32 arrays, small enough that the one read
+# transposed stays in cache (twice as fast as 1/16 of the rows at n = 3087)
+PAIR_CHECK_ROWS = 32
 
-    s is the symmetric dissipation form of split_dissipation; a roundoff
-    ridge is added to its diagonal in place. The returned pair satisfies
-    M D^+ + (D^-)^T M = 0 and makes M (D^+ - D^-) negative semidefinite.
-    All algebra happens on the M-weighted matrices so small-cell rows do
-    not amplify roundoff.
+
+def symmetrize_upwind_pair(bz, s, mass_diag):
+    """The symmetrized upwind pair D^{+/-,symm} = Dz -/+ M^{-1} S, formed in
+    place; returns (Dz, D^+, D^-).
+
+    bz = M Dz and s = S are the central m-form and the symmetric dissipation
+    of split_dissipation. A roundoff ridge is added to the diagonal of S;
+    then D^- = (Bz + S) / M goes to a new array, D^+ = (Bz - S) / M to s's
+    buffer and Dz = Bz / M to bz's buffer, so the three returned operators
+    are the only n x n arrays alive. All algebra happens on the M-weighted
+    matrices so small-cell rows do not amplify roundoff. The pair satisfies
+    M D^+ + (D^-)^T M = 0, which is checked in row blocks, and makes
+    M (D^+ - D^-) negative semidefinite.
     """
-    bz = mass_diag[:, None] * d_central
     # roundoff-scaled ridge: the division by M and re-multiplication in the
     # structure checks perturb entries by eps * |B|; shifting the symmetric
     # part by a slightly larger multiple of the identity (relative size
     # ~1e-15) keeps the stored pair dissipative under that perturbation
-    mu = 32.0 * np.finfo(float).eps * max(np.max(np.abs(bz)), np.max(np.abs(s)))
+    bz_max = np.max(np.abs(bz))
+    mu = 32.0 * np.finfo(float).eps * max(bz_max, np.max(np.abs(s)))
     s[np.diag_indices_from(s)] += mu
-    dp = (bz - s) / mass_diag[:, None]
-    dm = (bz + s) / mass_diag[:, None]
-    dual = mass_diag[:, None] * dp + (mass_diag[:, None] * dm).T
-    scale = max(np.max(np.abs(bz)), 1.0)
-    if np.max(np.abs(dual)) > PAIR_TOL * scale:
+    m = mass_diag[:, None]
+    dm = np.add(bz, s)
+    dm /= m
+    dp = np.subtract(bz, s, out=s)
+    dp /= m
+    dz = np.divide(bz, m, out=bz)
+    # M D^+ + (M D^-)^T, one block of rows at a time
+    rows = PAIR_CHECK_ROWS
+    worst = np.max([
+        np.max(np.abs(m[r:r + rows] * dp[r:r + rows] + (m * dm[:, r:r + rows]).T))
+        for r in range(0, len(mass_diag), rows)])
+    if not worst <= PAIR_TOL * max(bz_max, 1.0):
         raise RuntimeError("symmetrized pair fails the duality identity")
-    return dp, dm
+    return dz, dp, dm
 
 
 PAIRINGS = ("mp", "pm", "central")
@@ -297,18 +365,19 @@ def operator_pair(space, pairing, eta=None):
     """Assemble everything and select the (D^rho, D^gt) pair.
 
     Every degree takes the symmetrized pair (Dp_symm, Dm_symm) built from
-    the stabilized central and upwind operators; "mp" and "pm" select it
-    in either order, and "central" takes Dz for both equations.
+    the stabilized central m-form and the local dissipation S of
+    split_dissipation; "mp" and "pm" select it in either order, and
+    "central" takes Dz for both equations. Only the three returned
+    operators and one row block of the duality check are ever n x n
+    arrays (3.0 to 3.3 n^2 doubles at peak, p = 2).
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
     if eta is None:
         eta = default_eta(space)
     mdiag = mass_diagonal(space)
-    dz = assemble_stabilized(space, CENTRAL, eta)
-    dm = assemble_stabilized(space, UPWIND, eta)
-    dp_symm, dm_symm = symmetrize_upwind_pair(
-        dz, split_dissipation(dm, dz, mdiag), mdiag)
+    dz, dp_symm, dm_symm = symmetrize_upwind_pair(
+        *split_dissipation(space, eta), mdiag)
 
     if pairing == "mp":
         d_rho, d_gt = dm_symm, dp_symm

@@ -12,6 +12,7 @@ All steppers accept states shaped (n,) or (n, m), so propagating a basis
 of m vectors costs one pass.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,8 +77,13 @@ def _tab(rows, s):
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def builtin_tableau(name: str) -> IMEXTableau:
-    """Builtin tableaux: third-order ARS(4,4,3) and SSP2(3,3,2)."""
+    """Builtin tableaux: third-order ARS(4,4,3) and SSP2(3,3,2).
+
+    Parsed once per name; the tableau is shared, so its arrays are
+    read-only.
+    """
     if name == "ARS443":
         s = 5
         a_expl = _tab(
@@ -110,6 +116,8 @@ def builtin_tableau(name: str) -> IMEXTableau:
         b_impl = _tab([["1/3", "1/3", "1/3"]], 3)[0]
     else:
         raise ValueError(f"unknown tableau {name!r}")
+    for a in (a_expl, a_impl, b_expl, b_impl):
+        a.flags.writeable = False
     return IMEXTableau(
         name=name,
         a_expl=a_expl,

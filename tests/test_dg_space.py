@@ -30,6 +30,15 @@ def test_gauss_rule_integrates_polynomials_exactly(n):
         assert np.dot(w, x**k) == pytest.approx(exact, abs=1e-14)
 
 
+def test_gauss_rule_is_computed_once_and_read_only():
+    rule = gauss_legendre(3)
+    assert gauss_legendre(3) is rule
+    for got, want in zip(rule, np.polynomial.legendre.leggauss(3)):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+
+
 def test_lagrange_basis_is_cardinal():
     nodes, _ = gauss_legendre(4)
     bw = barycentric_weights(nodes)

@@ -63,6 +63,15 @@ def test_tableau_order_conditions(name, order):
             assert b @ (a @ c) == pytest.approx(1 / 6, abs=1e-15)
 
 
+@pytest.mark.parametrize("name", ["ARS443", "SSP2-332"])
+def test_tableau_is_parsed_once_and_read_only(name):
+    tab = builtin_tableau(name)
+    assert builtin_tableau(name) is tab
+    for a in (tab.a_expl, tab.a_impl, tab.b_expl, tab.b_impl):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 def test_unknown_tableau_rejected():
     with pytest.raises(ValueError, match="unknown tableau"):
         builtin_tableau("RK4")
