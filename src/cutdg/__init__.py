@@ -34,7 +34,6 @@ from .sbp_verify import (
     check_periodic_sbp,
     check_upwind_sbp,
     check_energy_decay,
-    check_p0_closed_form,
     sbp_report,
 )
 from .time_integration import (

@@ -225,44 +225,40 @@ def telegraph_step_matrix(system, tab, dt):
 
 
 def _probe_positions(band):
-    """Probe position of each cell, or None when the cells hold fewer than
-    two runs of 2 reach + 1 cells. A cell's position is its place within
-    one of the cells // (2 reach + 1) runs of consecutive cells, split as
-    evenly as np.array_split splits. Every run then has at least
+    """Probe position of each cell: its place within one of the
+    max(1, cells // (2 reach + 1)) runs of consecutive cells, split as
+    evenly as np.array_split splits. Every run of two or more has at least
     2 reach + 1 cells, so two cells of one position lie at least that far
-    apart, cyclically."""
-    runs = band.cells // (2 * band.reach + 1)
-    if runs < 2:
-        return None
+    apart, cyclically; a single run gives every cell its own position."""
+    runs = max(1, band.cells // (2 * band.reach + 1))
     return np.concatenate([np.arange(len(run)) for run in
                            np.array_split(np.arange(band.cells), runs)])
 
 
 def _step_columns(band):
     """Columns linear_step_matrix runs the stepper on for this band."""
-    positions = _probe_positions(band)
-    width = band.cells if positions is None else int(positions.max()) + 1
-    return band.fields * width * band.nodes
+    return band.fields * (int(_probe_positions(band).max()) + 1) * band.nodes
 
 
 def linear_step_matrix(apply_step, n, band=None):
     """One-step matrix of a linear map of states of size n, given its
     batched action on (n, m) blocks.
 
-    Without a band, or when the band's cells hold fewer than two runs of
-    2 reach + 1 cells, the action runs on the n identity columns. Otherwise
-    it runs on probe columns (Curtis, Powell & Reid, IMA J. Appl. Math. 13,
+    Without a band the action runs on the n identity columns. With one it
+    runs on probe columns (Curtis, Powell & Reid, IMA J. Appl. Math. 13,
     1974): the probe of a (field, cell, node) column is its field, its
     cell's position within its run (_probe_positions) and its node, and a
     probe column is the sum of its identity columns. A column's nonzeros lie
     within reach cells of its own cell, where no other column of its probe
     reaches. So each column is gathered from its probe's output, and every
     entry more than reach cells away is set to zero by assignment, which
-    keeps a non-finite entry of one column out of the others.
+    keeps a non-finite entry of one column out of the others. When the
+    cells hold fewer than two runs of 2 reach + 1 cells, the probes are the
+    identity columns and the gather is the identity.
     """
-    positions = None if band is None else _probe_positions(band)
-    if positions is None:
+    if band is None:
         return apply_step(np.eye(n))
+    positions = _probe_positions(band)
     fields, cells, nodes, reach = band
     width = int(positions.max()) + 1
     probe = ((np.arange(fields)[:, None, None] * width + positions[:, None])

@@ -3,7 +3,11 @@
 Every check returns a residual; the caller compares against a threshold.
 Sign conventions: skew/duality residuals are max-norms (always >= 0), the
 dissipation eigenvalue and the energy derivative carry their sign, which
-is the verdict (<= 0 up to roundoff means stable).
+is the verdict (<= 0 up to roundoff means stable). The skew and duality
+residuals are both max |M A + (M B)^T|, computed in row blocks by
+operators.sbp_residual, the kernel that also guards the pair that
+operator_pair forms; only the dissipation eigenvalue forms an n x n
+matrix here.
 """
 
 from dataclasses import dataclass
@@ -11,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import energy, telegraph_system
-from .operators import (
-    OperatorSet,
-    assemble_stabilized,
-    CENTRAL,
-    DOWNWIND,
-    UPWIND,
-)
+from .operators import OperatorSet, sbp_residual
 
 SKEW_TOL = 1e-11
 DUALITY_TOL = 1e-11
@@ -55,8 +53,7 @@ def check_periodic_sbp(M, D):
     D = np.asarray(D)
     if D.shape[0] != D.shape[1] or D.shape[0] != len(m):
         raise ValueError("dimension mismatch between M and D")
-    md = m[:, None] * D
-    return float(np.max(np.abs(md + md.T)))
+    return sbp_residual(m, D, D)
 
 
 def check_upwind_sbp(M, Dp, Dm):
@@ -70,7 +67,7 @@ def check_upwind_sbp(M, Dp, Dm):
     Dp, Dm = np.asarray(Dp), np.asarray(Dm)
     if Dp.shape != Dm.shape or Dp.shape[0] != len(m):
         raise ValueError("dimension mismatch between M and operators")
-    dual = float(np.max(np.abs(m[:, None] * Dp + (m[:, None] * Dm).T)))
+    dual = sbp_residual(m, Dp, Dm)
     A = m[:, None] * (Dp - Dm)
     A = 0.5 * (A + A.T)
     eig = float(np.linalg.eigvalsh(A)[-1])
@@ -102,66 +99,6 @@ def check_energy_decay(opset: OperatorSet, eps, trials=200, rng_seed=0):
     deriv = (2.0 * np.sum(rho * (m * rho_dot), axis=1)
              + 2.0 * eps**2 * np.sum(gt * (m * gt_dot), axis=1))
     return float(np.max(deriv / energy(opset, (rho, gt), eps)))
-
-
-def p0_closed_form(space, alpha, eta_c):
-    """Reference D^-, D^+ for a single left cut at degree 0.
-
-    Away from the cut both are the plain one-sided stencils 1/h; the rows
-    of the small cell c and its neighbors carry the stabilized entries.
-    """
-    mesh = space.mesh
-    n = mesh.n_cells
-    dx = mesh.background_dx
-    (c,) = mesh.small_cells
-    # the realized cell sizes are the floating-point values of alpha*dx and
-    # (1-alpha)*dx; using them avoids re-rounding the cut vertex
-    a_dx = mesh.cell_sizes[c]
-    b_dx = mesh.cell_sizes[(c + 1) % n]
-    if not np.isclose(a_dx, alpha * dx, rtol=1e-6):
-        raise ValueError("alpha does not match the mesh's cut fraction")
-
-    dm = np.zeros((n, n))
-    dp = np.zeros((n, n))
-    for i in range(n):
-        h = mesh.cell_sizes[i]
-        dm[i, i] = 1.0 / h
-        dm[i, (i - 1) % n] = -1.0 / h
-        dp[i, i] = -1.0 / h
-        dp[i, (i + 1) % n] = 1.0 / h
-
-    cm, cp = (c - 1) % n, (c + 1) % n
-    # upwind rows around the cut
-    dm[c, cm] = (eta_c - 1.0) / a_dx
-    dm[c, c] = (1.0 - eta_c) / a_dx
-    dm[cp, cm] = -eta_c / b_dx
-    dm[cp, c] = (eta_c - 1.0) / b_dx
-    dm[cp, cp] = 1.0 / b_dx
-    # downwind rows around the cut
-    dp[cm, cm] = -1.0 / dx
-    dp[cm, c] = (1.0 - eta_c) / dx
-    dp[cm, cp] = eta_c / dx
-    dp[c, c] = (eta_c - 1.0) / a_dx
-    dp[c, cp] = (1.0 - eta_c) / a_dx
-    return dm, dp
-
-
-def check_p0_closed_form(space, alpha, eta_c):
-    """Max relative deviation of the assembled p=0 pair from closed forms."""
-    if space.degree != 0:
-        raise ValueError("closed forms are specific to degree 0")
-    if len(space.mesh.small_cells) != 1:
-        raise ValueError("closed forms assume a single cut")
-    (c,) = space.mesh.small_cells
-    eta = {c: eta_c}
-    dm = assemble_stabilized(space, UPWIND, eta)
-    dp = assemble_stabilized(space, DOWNWIND, eta)
-    dm_ref, dp_ref = p0_closed_form(space, alpha, eta_c)
-    worst = 0.0
-    for got, ref in ((dm, dm_ref), (dp, dp_ref)):
-        scale = np.max(np.abs(ref))
-        worst = max(worst, float(np.max(np.abs(got - ref)) / scale))
-    return worst
 
 
 def sbp_report(opset: OperatorSet, eps=1.0, trials=200, rng_seed=0) -> SBPReport:

@@ -14,7 +14,6 @@ of m vectors costs one pass.
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,51 +68,36 @@ class IMEXTableau:
         return self
 
 
-def _tab(rows, s):
-    a = np.zeros((s, s))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            a[i, j] = float(Fraction(v))
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def builtin_tableau(name: str) -> IMEXTableau:
     """Builtin tableaux: third-order ARS(4,4,3) and SSP2(3,3,2).
 
-    Parsed once per name; the tableau is shared, so its arrays are
-    read-only.
+    Entries are written as ratios of integers, which int / int rounds
+    correctly. Built once per name; the tableau is shared, so its arrays
+    are read-only.
     """
     if name == "ARS443":
-        s = 5
-        a_expl = _tab(
-            [
-                [],
-                ["1/2"],
-                ["11/18", "1/18"],
-                ["5/6", "-5/6", "1/2"],
-                ["1/4", "7/4", "3/4", "-7/4"],
-            ],
-            s,
-        )
-        a_impl = _tab(
-            [
-                [],
-                ["0", "1/2"],
-                ["0", "1/6", "1/2"],
-                ["0", "-1/2", "1/2", "1/2"],
-                ["0", "3/2", "-3/2", "1/2", "1/2"],
-            ],
-            s,
-        )
-        b_expl = _tab([["1/4", "7/4", "3/4", "-7/4", "0"]], 5)[0]
-        b_impl = _tab([["0", "3/2", "-3/2", "1/2", "1/2"]], 5)[0]
+        a_expl = np.array([
+            [0, 0, 0, 0, 0],
+            [1 / 2, 0, 0, 0, 0],
+            [11 / 18, 1 / 18, 0, 0, 0],
+            [5 / 6, -5 / 6, 1 / 2, 0, 0],
+            [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0],
+        ])
+        a_impl = np.array([
+            [0, 0, 0, 0, 0],
+            [0, 1 / 2, 0, 0, 0],
+            [0, 1 / 6, 1 / 2, 0, 0],
+            [0, -1 / 2, 1 / 2, 1 / 2, 0],
+            [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2],
+        ])
+        b_expl = np.array([1 / 4, 7 / 4, 3 / 4, -7 / 4, 0])
+        b_impl = np.array([0, 3 / 2, -3 / 2, 1 / 2, 1 / 2])
     elif name == "SSP2-332":
-        s = 3
-        a_expl = _tab([[], ["1/2"], ["1/2", "1/2"]], s)
-        a_impl = _tab([["1/4"], ["0", "1/4"], ["1/3", "1/3", "1/3"]], s)
-        b_expl = _tab([["1/3", "1/3", "1/3"]], 3)[0]
-        b_impl = _tab([["1/3", "1/3", "1/3"]], 3)[0]
+        a_expl = np.array([[0, 0, 0], [1 / 2, 0, 0], [1 / 2, 1 / 2, 0]])
+        a_impl = np.array([[1 / 4, 0, 0], [0, 1 / 4, 0], [1 / 3, 1 / 3, 1 / 3]])
+        b_expl = np.array([1 / 3, 1 / 3, 1 / 3])
+        b_impl = np.array([1 / 3, 1 / 3, 1 / 3])
     else:
         raise ValueError(f"unknown tableau {name!r}")
     for a in (a_expl, a_impl, b_expl, b_impl):

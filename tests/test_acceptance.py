@@ -25,7 +25,6 @@ from cutdg.operators import (
 )
 from cutdg.sbp_verify import (
     check_energy_decay,
-    check_p0_closed_form,
     check_periodic_sbp,
     check_upwind_sbp,
 )
@@ -42,6 +41,7 @@ from cutdg.experiments import (
 )
 
 from test_operators import (
+    check_p0_closed_form,
     local_block_error,
     oracle_background,
     oracle_dod_flux,

@@ -5,6 +5,8 @@ that represents every cell basis function as a monomial-coefficient
 polynomial (numpy polyfit), integrates volume terms analytically with
 Polynomial.integ, and evaluates traces and extensions by direct polynomial
 evaluation. The oracle shares no code with the barycentric assembly path.
+At degree 0 with a single cut, p0_closed_form writes the stabilized pair
+out entry by entry, a second reference (criterion 2).
 """
 
 import tracemalloc
@@ -28,6 +30,7 @@ from cutdg.operators import (
     lambda_c,
     mass_diagonal,
     operator_pair,
+    sbp_residual,
     split_dissipation,
     symmetrize_upwind_pair,
 )
@@ -169,6 +172,66 @@ def oracle_dod_volume(space, c, kind, eta_c, L_c, R_c):
                 B[cells[0] * npc + l, j * npc + k] += eta_c * K[jloc] * integ(ha * u * wm)
                 B[cells[2] * npc + l, j * npc + k] += eta_c * K[jloc] * integ(hb * u * wp)
     return B
+
+
+def p0_closed_form(space, alpha, eta_c):
+    """Reference D^-, D^+ for a single left cut at degree 0.
+
+    Away from the cut both are the plain one-sided stencils 1/h; the rows
+    of the small cell c and its neighbors carry the stabilized entries.
+    """
+    mesh = space.mesh
+    n = mesh.n_cells
+    dx = mesh.background_dx
+    (c,) = mesh.small_cells
+    # the realized cell sizes are the floating-point values of alpha*dx and
+    # (1-alpha)*dx; using them avoids re-rounding the cut vertex
+    a_dx = mesh.cell_sizes[c]
+    b_dx = mesh.cell_sizes[(c + 1) % n]
+    if not np.isclose(a_dx, alpha * dx, rtol=1e-6):
+        raise ValueError("alpha does not match the mesh's cut fraction")
+
+    dm = np.zeros((n, n))
+    dp = np.zeros((n, n))
+    for i in range(n):
+        h = mesh.cell_sizes[i]
+        dm[i, i] = 1.0 / h
+        dm[i, (i - 1) % n] = -1.0 / h
+        dp[i, i] = -1.0 / h
+        dp[i, (i + 1) % n] = 1.0 / h
+
+    cm, cp = (c - 1) % n, (c + 1) % n
+    # upwind rows around the cut
+    dm[c, cm] = (eta_c - 1.0) / a_dx
+    dm[c, c] = (1.0 - eta_c) / a_dx
+    dm[cp, cm] = -eta_c / b_dx
+    dm[cp, c] = (eta_c - 1.0) / b_dx
+    dm[cp, cp] = 1.0 / b_dx
+    # downwind rows around the cut
+    dp[cm, cm] = -1.0 / dx
+    dp[cm, c] = (1.0 - eta_c) / dx
+    dp[cm, cp] = eta_c / dx
+    dp[c, c] = (eta_c - 1.0) / a_dx
+    dp[c, cp] = (1.0 - eta_c) / a_dx
+    return dm, dp
+
+
+def check_p0_closed_form(space, alpha, eta_c):
+    """Max relative deviation of the assembled p=0 pair from closed forms."""
+    if space.degree != 0:
+        raise ValueError("closed forms are specific to degree 0")
+    if len(space.mesh.small_cells) != 1:
+        raise ValueError("closed forms assume a single cut")
+    (c,) = space.mesh.small_cells
+    eta = {c: eta_c}
+    dm = assemble_stabilized(space, UPWIND, eta)
+    dp = assemble_stabilized(space, DOWNWIND, eta)
+    dm_ref, dp_ref = p0_closed_form(space, alpha, eta_c)
+    worst = 0.0
+    for got, ref in ((dm, dm_ref), (dp, dp_ref)):
+        scale = np.max(np.abs(ref))
+        worst = max(worst, float(np.max(np.abs(got - ref)) / scale))
+    return worst
 
 
 def make_space(p, cuts):
@@ -379,6 +442,40 @@ def test_symmetrize_rejects_broken_input():
     # a central part that is not skew under M breaks the duality
     with pytest.raises(RuntimeError, match="duality"):
         symmetrize_upwind_pair(broken, s, md)
+
+
+def test_symmetrize_rejects_a_nan():
+    space = make_space(1, [(2, 0.3, "left")])
+    bz, s = split_dissipation(space, default_eta(space))
+    bz[3, 4] = np.nan  # a NaN residual compares false with the tolerance
+    with pytest.raises(RuntimeError, match="duality"):
+        symmetrize_upwind_pair(bz, s, mass_diagonal(space))
+
+
+def dense_sbp_residual(m, A, B):
+    return np.max(np.abs(m[:, None] * A + (m[:, None] * B).T))
+
+
+# one row block, one short of two, exactly two, one past two, and several
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+def test_sbp_residual_equals_the_dense_residual(n):
+    rng = np.random.default_rng(n)
+    m = rng.uniform(0.1, 3.0, n)
+    A, B = rng.standard_normal((2, n, n))
+    # each entry is m_i A_ij + m_j B_ji in both, so the maxima are equal;
+    # B = A is the periodic SBP (skew) residual
+    assert sbp_residual(m, A, B) == dense_sbp_residual(m, A, B)
+    assert sbp_residual(m, A, A) == dense_sbp_residual(m, A, A)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (5, 37), (39, 2)])
+def test_sbp_residual_propagates_nan(where):
+    rng = np.random.default_rng(6)
+    m = rng.uniform(0.1, 3.0, 40)
+    A, B = rng.standard_normal((2, 40, 40))
+    A[where] = np.nan
+    assert np.isnan(sbp_residual(m, A, B))
+    assert np.isnan(sbp_residual(m, B, A))
 
 
 @pytest.mark.parametrize("pairing,rho_attr,gt_attr", [

@@ -1,18 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cutdg.mesh import build_cut_cell_mesh
+from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space
 from cutdg.operators import operator_pair
 from cutdg.sbp_verify import (
     SBPReport,
     check_energy_decay,
-    check_p0_closed_form,
     check_periodic_sbp,
     check_upwind_sbp,
-    p0_closed_form,
     sbp_report,
 )
+
+from test_operators import check_p0_closed_form, p0_closed_form
 
 
 def make_ops(p, alpha, pairing="mp"):
@@ -124,6 +126,26 @@ def test_sbp_report_rejects_zero_trials():
     # the maximum over no random states would pass any operator set
     with pytest.raises(ValueError, match="trials must be >= 1"):
         sbp_report(make_ops(0, 0.3), trials=0)
+
+
+def test_structure_checks_peak_memory():
+    # the skew and duality residuals are scanned 32 rows at a time; only
+    # the dissipation eigenvalue forms n x n arrays, sym(M (D+ - D-)) and
+    # eigvalsh's copy of it (dense residuals peaked at 3.0 n^2 doubles)
+    cuts = evenly_spaced_cuts(128, (1e-7, 1e-3, 1e-1, 0.3, 0.49))
+    ops = operator_pair(build_space(
+        build_cut_cell_mesh(-np.pi, np.pi, 128, cuts), 2), "mp")
+    n = len(ops.mass_diag)
+    for check, bound in (
+            (lambda: check_periodic_sbp(ops.mass_diag, ops.Dz), 0.5),
+            (lambda: sbp_report(ops, trials=20), 2.5)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n * 8, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1e-3, 1 - 1e-3])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -70,6 +72,47 @@ def test_tableau_is_parsed_once_and_read_only(name):
     for a in (tab.a_expl, tab.a_impl, tab.b_expl, tab.b_impl):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+
+
+# the published tableaux as exact ratios: ARS(4,4,3) of Ascher, Ruuth &
+# Spiteri (Appl. Numer. Math. 25, 1997) and SSP2(3,3,2) of Pareschi & Russo
+# (J. Sci. Comput. 25, 2005); rows of A below the diagonal, then b
+PUBLISHED_TABLEAUX = {
+    "ARS443": (
+        ["", "1/2", "11/18 1/18", "5/6 -5/6 1/2", "1/4 7/4 3/4 -7/4"],
+        ["", "0 1/2", "0 1/6 1/2", "0 -1/2 1/2 1/2", "0 3/2 -3/2 1/2 1/2"],
+        "1/4 7/4 3/4 -7/4 0",
+        "0 3/2 -3/2 1/2 1/2",
+    ),
+    "SSP2-332": (
+        ["", "1/2", "1/2 1/2"],
+        ["1/4", "0 1/4", "1/3 1/3 1/3"],
+        "1/3 1/3 1/3",
+        "1/3 1/3 1/3",
+    ),
+}
+
+
+def _exact_rows(rows, s):
+    a = np.zeros((s, s))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row.split()):
+            a[i, j] = float(Fraction(v))
+    return a
+
+
+@pytest.mark.parametrize("name", list(PUBLISHED_TABLEAUX))
+def test_tableau_entries_are_the_correctly_rounded_published_ratios(name):
+    a_expl, a_impl, b_expl, b_impl = PUBLISHED_TABLEAUX[name]
+    s = len(a_expl)
+    tab = builtin_tableau(name)
+    want = (_exact_rows(a_expl, s), _exact_rows(a_impl, s),
+            _exact_rows([b_expl], s)[0], _exact_rows([b_impl], s)[0])
+    got = (tab.a_expl, tab.a_impl, tab.b_expl, tab.b_impl)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == w.shape
+        # bitwise, signed zeros included
+        assert g.tobytes() == w.tobytes()
 
 
 def test_unknown_tableau_rejected():
