@@ -2,7 +2,10 @@
 
 Each runner takes exactly the parameters its study reads, as keyword
 arguments whose defaults are the reference study; it records them in
-metadata["config"] and returns a ResultTable. All steppers used here are
+metadata["config"] and returns a ResultTable. A study assembles each case
+by one construction, once, and looks each tableau up once: the condition
+study assembles the flow-weighted pair (_CONDITION_FLOW_KINDS) for every
+variant, the others operator_pair's pair. All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
 once, by one batched stepper call (linear_step_matrix). A telegraph or
 explicit-heat step couples only cells at most its reach R apart, a reach
@@ -39,7 +42,6 @@ from .operators import (
     assemble_stabilized,
     mass_diagonal,
     default_eta,
-    lambda_c,
     UPWIND,
     DOWNWIND,
     CENTRAL,
@@ -132,15 +134,17 @@ def _case_space(n_background, p, alphas):
 VARIANTS = ("background", "unstabilized", "dod")
 
 
-def _build_case(n_background, p, alphas, pairing, variant="dod"):
-    """Space and operator pair of one study case.
-
-    "background" drops the cuts, "unstabilized" sets eta = 0 on every small
-    cell and "dod" takes default_eta.
-    """
+def _variant_space(n_background, p, alphas, variant):
+    """Space and small-cell eta of one scheme variant: "background" drops
+    the cuts, "unstabilized" sets eta = 0 and "dod" takes default_eta."""
     space = _case_space(n_background, p, () if variant == "background" else alphas)
-    eta = ({c: 0.0 for c in space.mesh.small_cells}
-           if variant == "unstabilized" else None)
+    eta = default_eta(space)
+    return space, ({c: 0.0 for c in eta} if variant == "unstabilized" else eta)
+
+
+def _build_case(n_background, p, alphas, pairing, variant="dod"):
+    """Space and operator pair of one study case (see _variant_space)."""
+    space, eta = _variant_space(n_background, p, alphas, variant)
     return space, operator_pair(space, pairing, eta=eta)
 
 
@@ -176,8 +180,9 @@ def _stepper_for(tab):
     return stable_ars_step if tab.classification == "ARS" else imex_step
 
 
-# The reach of one step is the operators' cell reach r times the operator
-# applications on the longest path from the old state to the new one:
+# The reach of one step is the cell reach r of D^rho, D^gt, D^+ and D^-
+# (which covers D^+ - D^-) times the operator applications on the longest
+# path from the old state to the new one:
 # - stable_ars_step, 2(s - 1). Its first ARS stage is explicit, the old
 #   state itself. Stage k takes rho_k from D^rho on the earlier gt stages
 #   and gt_k from D^gt on rho_k, so gt_k lies 2(k - 1) applications from
@@ -192,8 +197,8 @@ def _telegraph_band(ops, tab):
     """StepBand of one telegraph step of _stepper_for(tab) on (rho, gt)."""
     nodes = ops.space.nodes_per_cell
     s = tab.s
-    applications = 2 * (s - 1) if tab.classification == "ARS" else 2 * s
-    r = _cell_reach(nodes, ops.d_rho, ops.d_gt, ops.d_diff)
+    applications = 2 * (s - 1) if _stepper_for(tab) is stable_ars_step else 2 * s
+    r = _cell_reach(nodes, ops.d_rho, ops.d_gt, ops.Dp_symm, ops.Dm_symm)
     return StepBand(2, ops.space.mesh.n_cells, nodes, applications * r)
 
 
@@ -360,21 +365,19 @@ def propagate(apply_step, state, t_final, dt, band=None):
     return out
 
 
-def _integrate_telegraph(ops, eps, tab_name, t_final, dt, state0, band):
-    """state0 = (rho, gt) advanced to t_final; band is the StepBand of the
-    tableau's step, _telegraph_band(ops, tab), which no epsilon changes."""
+def _integrate_telegraph(ops, eps, tab, t_final, dt, state0, band):
+    """state0 = (rho, gt) advanced to t_final by the tableau tab; band is
+    its step's StepBand, _telegraph_band(ops, tab), which eps leaves alone."""
     system = telegraph_system(ops, eps)
-    tab = builtin_tableau(tab_name)
     v = propagate(_telegraph_action(system, tab), np.concatenate(state0),
                   t_final, dt, band)
     return np.split(v, 2)
 
 
-def _integrate_heat_explicit(ops, tab_name, t_final, dt, rho0):
-    """rho0 advanced by the explicit part of the tableau on the heat limit
-    rho_t = L rho, L = heat_system(ops)."""
+def _integrate_heat_explicit(ops, tab, t_final, dt, rho0):
+    """rho0 advanced by the explicit part of the tableau tab on the heat
+    limit rho_t = L rho, L = heat_system(ops)."""
     L = heat_system(ops)
-    tab = builtin_tableau(tab_name)
     return propagate(lambda u, h: explicit_limit_step(L, tab, u, h),
                      rho0, t_final, dt, _heat_band(ops, L, tab))
 
@@ -394,11 +397,11 @@ def _record_steps(table, t_final, dt, band, **case):
     )
 
 
-def _convergence_case(space, ops, band, p, eps, t_final, tableau):
+def _convergence_case(space, ops, band, p, eps, t_final, tab):
     """(dx, dt, err_rho, err_gt, status) of one convergence case: the
-    telegraph system integrated from its exact solution with the
-    hyperbolic step dt = C_PRE[p] / (2p+1) * eps * dx, on the stacked state
-    (rho, gt) of the StepBand band. Raises ValueError unless
+    telegraph system integrated by the tableau tab from its exact solution
+    with the hyperbolic step dt = C_PRE[p] / (2p+1) * eps * dx, on the
+    stacked state (rho, gt) of the StepBand band. Raises ValueError unless
     0 < eps <= 1/2, where the exact solution exists."""
     dx = space.mesh.background_dx
     dt = C_PRE[p] / (2 * p + 1) * eps * dx
@@ -406,8 +409,7 @@ def _convergence_case(space, ops, band, p, eps, t_final, tableau):
     state0 = (project(space, lambda x: rho_ex(x, 0.0)),
               project(space, lambda x: gt_ex(x, 0.0)))
     try:
-        rho, gt = _integrate_telegraph(ops, eps, tableau, t_final, dt, state0,
-                                       band)
+        rho, gt = _integrate_telegraph(ops, eps, tab, t_final, dt, state0, band)
     except FloatingPointError:
         return dx, dt, float("nan"), float("nan"), "unstable"
     return (dx, dt, l2_error(space, rho, lambda x: rho_ex(x, t_final)),
@@ -448,7 +450,7 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
                 bands[n_bg] = band = _telegraph_band(ops, tab)
                 for eps in epsilons:
                     cases[eps, n_bg] = _convergence_case(
-                        space, ops, band, p, eps, t_final, tableau)
+                        space, ops, band, p, eps, t_final, tab)
             for eps in epsilons:
                 prev = None
                 for n_bg in cells:
@@ -477,35 +479,37 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
                    t_final=0.5, tableaux=("ARS443", "SSP2-332")) -> ResultTable:
     """L2 distance between the telegraph solution and its heat limit.
 
-    Both integrations of a (tableau, p) case share one dt for every
-    epsilon; metadata["steps"] holds one record per case with dt, the
-    number of steps taken, the closing step included, and the squarings,
-    matrix-vector products, reach and step-matrix columns of each of its
-    telegraph integrations, which all share one StepBand. The heat limit
-    does not depend on epsilon and its initial data sin(x) / r scale with 1/r,
-    so it is integrated once per case from sin(x) and divided by r for
-    each epsilon.
+    Each degree is assembled once, for every tableau and epsilon; the rows
+    go in (tableau, p, epsilon) order. Both integrations of a (tableau, p)
+    case share one dt for every epsilon; metadata["steps"] holds one record
+    per case with dt, the number of steps taken, the closing step included,
+    and the squarings, matrix-vector products, reach and step-matrix
+    columns of each of its telegraph integrations, which all share one
+    StepBand. The heat limit does not depend on epsilon and its initial
+    data sin(x) / r scale with 1/r, so it is integrated once per case from
+    sin(x) and divided by r for each epsilon.
     """
     table = ResultTable(
         columns=("tableau", "p", "epsilon", "diff_l2", "stepper"),
         metadata=_metadata(locals()),
     )
+    cases = {p: _build_case(cells, p, alphas, pairing) for p in degrees}
     for tab_name in tableaux:
         tab = builtin_tableau(tab_name)
         stepper = _stepper_for(tab).__name__
         for p in degrees:
-            space, ops = _build_case(cells, p, alphas, pairing)
+            space, ops = cases[p]
             dt = parabolic_dt(space.mesh.background_dx, p)
             band = _telegraph_band(ops, tab)
             _record_steps(table, t_final, dt, band, tableau=tab_name, p=p)
             heat_sin = _integrate_heat_explicit(
-                ops, tab_name, t_final, dt, project(space, np.sin),
+                ops, tab, t_final, dt, project(space, np.sin),
             )
             for eps in epsilons:
                 r = decay_rate(eps) if eps <= 0.5 else -1.0
                 state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
                 rho_tel, _ = _integrate_telegraph(
-                    ops, eps, tab_name, t_final, dt, state0, band,
+                    ops, eps, tab, t_final, dt, state0, band,
                 )
                 diff = l2_norm_of_vector(space, rho_tel - heat_sin / r,
                                          ops.mass_diag)
@@ -515,20 +519,22 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
 
 
 def weighted_condition_number(A, M):
-    """kappa = ||A||_M ||A^-1||_M via singular values of M^1/2 A M^-1/2."""
+    """kappa = ||A||_M ||A^-1||_M, the 2-norm condition number of
+    M^1/2 A M^-1/2 (inf for a singular A)."""
     m = np.diag(M) if np.asarray(M).ndim == 2 else np.asarray(M)
     if np.any(m <= 0):
         raise ValueError("weight matrix must be positive definite")
     sq = np.sqrt(m)
-    sv = np.linalg.svd(sq[:, None] * A / sq[None, :], compute_uv=False)
-    if sv[-1] == 0.0:
-        return float("inf")
-    return float(sv[0] / sv[-1])
+    return float(np.linalg.cond(sq[:, None] * A / sq[None, :]))
 
 
 # (rho, gt) pairs of flux kind and volume weights (L_c, R_c) of the
-# flow-weighted pair used by the "dod" variant: the classic flow-based
-# redistribution, which breaks the dual pair for p >= 1
+# flow-weighted pair the condition study assembles for every variant: the
+# classic flow-based redistribution, which reproduces the reference "dod"
+# values (operator_pair's symmetrized pair gives a kappa up to 20% larger,
+# p = 2, N = 128) and breaks the dual pair on a stabilized cell for p >= 1.
+# With no stabilized cell it is the plain upwind pair, already dual
+# (Mattsson, J. Comput. Phys. 335, 2017), and "central" is bitwise Dz
 _CONDITION_FLOW_KINDS = {
     "mp": ((UPWIND, (1.0, 0.0)), (DOWNWIND, (0.0, 1.0))),
     "pm": ((DOWNWIND, (0.0, 1.0)), (UPWIND, (1.0, 0.0))),
@@ -537,22 +543,14 @@ _CONDITION_FLOW_KINDS = {
 
 
 def _condition_kappa(n_bg, p, pairing, variant, alphas):
-    if variant == "dod":
-        # the classic flow-weighted (unsymmetrized) DoD pair is the
-        # discretization whose conditioning the study characterizes, and it
-        # reproduces the reference values; the symmetrized pair of
-        # operator_pair gives a kappa up to 20% larger (p = 2, N = 128)
-        space = _case_space(n_bg, p, alphas)
-        eta = default_eta(space)
-        d_rho, d_gt = (assemble_stabilized(space, kind, eta, weights)
-                       for kind, weights in _CONDITION_FLOW_KINDS[pairing])
-        mdiag = mass_diagonal(space)
-    else:
-        space, ops = _build_case(n_bg, p, alphas, pairing, variant)
-        d_rho, d_gt, mdiag = ops.d_rho, ops.d_gt, ops.mass_diag
+    """Weighted condition number of I - dt D^rho D^gt for the flow-weighted
+    pair of _CONDITION_FLOW_KINDS[pairing] on one variant's space."""
+    space, eta = _variant_space(n_bg, p, alphas, variant)
+    d_rho, d_gt = (assemble_stabilized(space, kind, eta, weights)
+                   for kind, weights in _CONDITION_FLOW_KINDS[pairing])
     dt = parabolic_dt(space.mesh.background_dx, p)
     A = np.eye(space.n_dofs) - dt * (d_rho @ d_gt)
-    return weighted_condition_number(A, mdiag)
+    return weighted_condition_number(A, mass_diagonal(space))
 
 
 def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
@@ -688,7 +686,7 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
             if not space.mesh.small_cells:
                 raise ValueError(f"alpha={alpha!r}: the cut makes no small cell")
             (c,) = space.mesh.small_cells
-            etas = (0.0, 0.5, max(0.0, 1.0 - alpha / lambda_c(p)))
+            etas = (0.0, 0.5, default_eta(space)[c])
             for eta_val in etas:
                 for pairing in pairings:
                     ops = operator_pair(space, pairing, eta={c: eta_val})

@@ -12,7 +12,7 @@ import pytest
 import cutdg
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
-from cutdg.operators import default_eta, operator_pair
+from cutdg.operators import PAIRINGS, default_eta, operator_pair
 from cutdg.models import (decay_rate, heat_system, telegraph_system,
                           well_prepared_init)
 from cutdg.time_integration import (
@@ -98,6 +98,8 @@ def test_weighted_condition_number_identity_and_oracle():
         pytest.approx(8.0)
     )
     assert weighted_condition_number(np.zeros((2, 2)), np.ones(2)) == float("inf")
+    assert weighted_condition_number(np.diag([1.0, 0.0]), np.ones(2)) == (
+        float("inf"))
     with pytest.raises(ValueError):
         weighted_condition_number(np.eye(2), np.array([1.0, -1.0]))
 
@@ -303,7 +305,7 @@ def test_integrate_telegraph_matches_matrix_power():
               rng.standard_normal(space.n_dofs))
     tab = builtin_tableau("ARS443")
     rho, gt = experiments._integrate_telegraph(
-        ops, eps, "ARS443", t_final, dt, state0,
+        ops, eps, tab, t_final, dt, state0,
         experiments._telegraph_band(ops, tab))
     system = telegraph_system(ops, eps)
     n_full = int(np.floor(t_final / dt + 1e-12))
@@ -493,18 +495,25 @@ def test_step_records_name_the_columns_the_stepper_ran_on(monkeypatch):
     assert (rec["reach"], rec["step_columns"]) == (16, 140)
 
 
+def _count_calls(monkeypatch, name):
+    """Replace experiments.<name> by a wrapper that records the first
+    argument of every call; returns the list of recorded arguments."""
+    calls = []
+    fn = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
 def test_run_convergence_assembles_each_case_once_for_all_epsilons(monkeypatch):
     case = dict(SMALL_CONVERGENCE, epsilons=(1e-1, 1e-3))
     alone = [run_convergence(**dict(case, epsilons=(eps,)))
              for eps in case["epsilons"]]
-    calls = []
-    build = experiments._build_case
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "_build_case", counted)
+    calls = _count_calls(monkeypatch, "_build_case")
     table = run_convergence(**case)
     assert len(calls) == len(case["cells"])
     # the rows and step records of each epsilon alone, one epsilon after
@@ -563,18 +572,32 @@ def test_run_convergence_rejects_epsilon_zero():
 
 
 def test_run_asymptotic_integrates_the_heat_limit_once_per_case(monkeypatch):
-    calls = []
-    integrate = experiments._integrate_heat_explicit
-
-    def counted(*args):
-        calls.append(args)
-        return integrate(*args)
-
-    monkeypatch.setattr(experiments, "_integrate_heat_explicit", counted)
+    calls = _count_calls(monkeypatch, "_integrate_heat_explicit")
     table = run_asymptotic()
     config = table.metadata["config"]
     assert len(calls) == len(config["tableaux"]) * len(config["degrees"])
     assert len(table.rows) == len(calls) * len(config["epsilons"])
+
+
+def test_run_asymptotic_assembles_each_degree_once(monkeypatch):
+    # the operators depend on neither the tableau nor epsilon
+    calls = _count_calls(monkeypatch, "operator_pair")
+    table = run_asymptotic()
+    config = table.metadata["config"]
+    assert len(calls) == len(config["degrees"])
+    assert [(r["tableau"], r["p"], r["epsilon"]) for r in table.rows] == [
+        (tab, p, eps) for tab in config["tableaux"]
+        for p in config["degrees"] for eps in config["epsilons"]]
+
+
+@pytest.mark.parametrize("runner, kwargs, names", [
+    (run_asymptotic, {}, ["ARS443", "SSP2-332"]),
+    (run_convergence, dict(SMALL_CONVERGENCE, degrees=(0, 1)), ["ARS443"]),
+])
+def test_runners_look_each_tableau_up_once(runner, kwargs, names, monkeypatch):
+    calls = _count_calls(monkeypatch, "builtin_tableau")
+    runner(**kwargs)
+    assert calls == names
 
 
 def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
@@ -582,16 +605,17 @@ def test_run_asymptotic_matches_heat_limit_integrated_per_epsilon():
     t_final = 0.2
     table = run_asymptotic(**dict(SMALL_ASYMPTOTIC, degrees=(0, 2),
                                   epsilons=(1e-1, 1e-3, 1e-6), t_final=t_final))
+    tab = builtin_tableau("ARS443")
     for row in table.rows:
         space, ops = experiments._build_case(16, row["p"], SMALL["alphas"], "mp")
         dt = parabolic_dt(space.mesh.background_dx, row["p"])
         r = decay_rate(row["epsilon"])
         state0 = well_prepared_init(space, ops, lambda x: np.sin(x) / r)
         rho_tel, _ = experiments._integrate_telegraph(
-            ops, row["epsilon"], "ARS443", t_final, dt, state0,
-            experiments._telegraph_band(ops, builtin_tableau("ARS443")))
+            ops, row["epsilon"], tab, t_final, dt, state0,
+            experiments._telegraph_band(ops, tab))
         rho_heat = experiments._integrate_heat_explicit(
-            ops, "ARS443", t_final, dt, state0[0])
+            ops, tab, t_final, dt, state0[0])
         want = l2_norm_of_vector(space, rho_tel - rho_heat, ops.mass_diag)
         assert row["diff_l2"] == pytest.approx(want, rel=1e-7, abs=1e-14)
         assert row["stepper"] == "stable_ars_step"
@@ -612,6 +636,32 @@ def test_run_condition_variants():
     assert by_variant["background"] < 2.0
     assert by_variant["dod"] < 100.0
     assert by_variant["unstabilized"] > 1e3
+
+
+def test_run_condition_assembles_no_symmetrized_pair(monkeypatch):
+    calls = _count_calls(monkeypatch, "operator_pair")
+    table = run_condition()
+    assert calls == [] and len(table.rows) == 18
+
+
+@pytest.mark.parametrize("variant", ["background", "unstabilized"])
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_condition_kappa_without_stabilization_is_the_dual_pair_kappa(
+        p, pairing, variant):
+    # with no stabilized cell the flow-weighted pair is the plain dual
+    # pair, which the symmetrized pair of operator_pair equals to
+    # roundoff; "central" is Dz bitwise in both constructions
+    alphas = experiments.CONDITION_ALPHAS
+    space, ops = experiments._build_case(32, p, alphas, pairing, variant)
+    A = np.eye(space.n_dofs) - parabolic_dt(space.mesh.background_dx, p) * (
+        ops.d_rho @ ops.d_gt)
+    want = weighted_condition_number(A, ops.mass_diag)
+    got = experiments._condition_kappa(32, p, pairing, variant, alphas)
+    if pairing == "central":
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 SMALL_HEAT_IMPLICIT = dict(p=1, cells=16, alphas=(1e-3,), t_final=1.0)
