@@ -5,7 +5,14 @@ arguments whose defaults are the reference study; it records them in
 metadata["config"] and returns a ResultTable. A study assembles each case
 by one construction, once, and looks each tableau up once: the condition
 study assembles the flow-weighted pair (_CONDITION_FLOW_KINDS) for every
-variant, the others operator_pair's pair. All steppers used here are
+variant, one operator for both equations of a central row, the others
+operator_pair's pair. The condition number of I - dt D^rho D^gt for a
+dual pair, M D^rho = -(M D^gt)^T, is 1 + dt ||M^1/2 D^gt M^-1/2||_2^2: the
+matrix is symmetric positive definite in the M inner product, and D^gt
+annihilates constants, so its smallest eigenvalue is exactly 1. The study
+takes that closed form, one symmetric eigensolve, for every pair that
+passes the duality check, and the SVD of the formed matrix for any other
+pair (_condition_kappa). All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
 once, by one batched stepper call (linear_step_matrix). A telegraph or
 explicit-heat step couples only cells at most its reach R apart, a reach
@@ -45,6 +52,8 @@ from .operators import (
     UPWIND,
     DOWNWIND,
     CENTRAL,
+    PAIR_TOL,
+    sbp_residual,
 )
 from . import sbp_verify
 from .models import (
@@ -543,28 +552,61 @@ _CONDITION_FLOW_KINDS = {
 
 
 def _condition_kappa(n_bg, p, pairing, variant, alphas):
-    """Weighted condition number of I - dt D^rho D^gt for the flow-weighted
-    pair of _CONDITION_FLOW_KINDS[pairing] on one variant's space."""
+    """Weighted condition number of A = I - dt D^rho D^gt for the
+    flow-weighted pair of _CONDITION_FLOW_KINDS[pairing] on one variant's
+    space; returns (kappa, record), the record naming how kappa was found.
+
+    A dual pair, M D^rho = -(M D^gt)^T, gives M L = -(D^gt)^T M D^gt for
+    L = D^rho D^gt, so A is symmetric positive definite in the M inner
+    product with eigenvalues 1 + dt s^2, s a singular value of
+    B = M^1/2 D^gt M^-1/2. D^gt annihilates constants, so the smallest is
+    exactly 1 and kappa = 1 + dt ||B||_2^2: one symmetric eigensolve of
+    B^T B, no n^3 product and no SVD. The pair counts as dual when its
+    residual passes PAIR_TOL on the scale max(|M D^gt|, 1), the test
+    symmetrize_upwind_pair applies; any other pair (the flow-weighted "mp"
+    pair on a stabilized cell, p >= 1) forms A and takes its SVD.
+    """
     space, eta = _variant_space(n_bg, p, alphas, variant)
-    d_rho, d_gt = (assemble_stabilized(space, kind, eta, weights)
-                   for kind, weights in _CONDITION_FLOW_KINDS[pairing])
+    rho, gt = _CONDITION_FLOW_KINDS[pairing]
+    d_rho = assemble_stabilized(space, rho[0], eta, rho[1])
+    d_gt = d_rho if gt == rho else assemble_stabilized(space, gt[0], eta, gt[1])
+    m = mass_diagonal(space)
     dt = parabolic_dt(space.mesh.background_dx, p)
+    residual = sbp_residual(m, d_rho, d_gt)
+    if residual <= PAIR_TOL * max(np.max(np.abs(m[:, None] * d_gt)), 1.0):
+        sq = np.sqrt(m)
+        B = sq[:, None] * d_gt / sq[None, :]
+        norm_sq = float(np.linalg.eigvalsh(B.T @ B)[-1])
+        return 1.0 + dt * norm_sq, dict(method="closed_form", residual=residual,
+                                        dgt_norm_m=norm_sq ** 0.5)
     A = np.eye(space.n_dofs) - dt * (d_rho @ d_gt)
-    return weighted_condition_number(A, mass_diagonal(space))
+    return weighted_condition_number(A, m), dict(
+        method="svd", residual=residual, dgt_norm_m=None)
 
 
 def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
                   cells=128, alphas=CONDITION_ALPHAS) -> ResultTable:
-    """Weighted condition numbers of I - dt L for the scheme variants."""
+    """Weighted condition numbers of I - dt L for the scheme variants.
+
+    A dual pair's kappa comes from its closed form, any other pair's from
+    the SVD (_condition_kappa); metadata["kappa"] holds one record per row:
+    its p, pairing and variant, the "method" ("closed_form" or "svd"), the
+    duality residual max|M D^rho + (M D^gt)^T| and dgt_norm_m =
+    ||M^1/2 D^gt M^-1/2||_2 (None for an SVD row).
+    """
     table = ResultTable(
         columns=("p", "pairing", "variant", "kappa"),
         metadata=_metadata(locals()),
     )
+    table.metadata["kappa"] = []
     for p in degrees:
         for pairing in pairings:
             for variant in VARIANTS:
-                kappa = _condition_kappa(cells, p, pairing, variant, alphas)
+                kappa, record = _condition_kappa(cells, p, pairing, variant,
+                                                 alphas)
                 table.add(p=p, pairing=pairing, variant=variant, kappa=kappa)
+                table.metadata["kappa"].append(
+                    dict(p=p, pairing=pairing, variant=variant, **record))
     return table
 
 

@@ -12,7 +12,9 @@ import pytest
 import cutdg
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
-from cutdg.operators import PAIRINGS, default_eta, operator_pair
+from cutdg.operators import (CENTRAL, PAIRINGS, UPWIND, assemble_stabilized,
+                             default_eta, mass_diagonal, operator_pair,
+                             sbp_residual)
 from cutdg.models import (decay_rate, heat_system, telegraph_system,
                           well_prepared_init)
 from cutdg.time_integration import (
@@ -644,6 +646,83 @@ def test_run_condition_assembles_no_symmetrized_pair(monkeypatch):
     assert calls == [] and len(table.rows) == 18
 
 
+def test_run_condition_assembles_each_central_operator_once(monkeypatch):
+    # a central row's two equations share Dz: 2 assemblies per "mp" row
+    # and 1 per "central" row, not 2
+    calls = _count_calls(monkeypatch, "assemble_stabilized")
+    table = run_condition(degrees=(0,), cells=16)
+    assert len(table.rows) == 6 and len(calls) == 3 * 2 + 3 * 1
+
+
+def _condition_pair(p, pairing, variant, cells=128,
+                    alphas=experiments.CONDITION_ALPHAS):
+    """(D^rho, D^gt, M, dt) of one condition row, assembled afresh."""
+    space, eta = experiments._variant_space(cells, p, alphas, variant)
+    d_rho, d_gt = (assemble_stabilized(space, kind, eta, weights) for
+                   kind, weights in experiments._CONDITION_FLOW_KINDS[pairing])
+    return d_rho, d_gt, mass_diagonal(space), parabolic_dt(
+        space.mesh.background_dx, p)
+
+
+def _svd_kappa(d_rho, d_gt, m, dt):
+    return weighted_condition_number(np.eye(len(m)) - dt * (d_rho @ d_gt), m)
+
+
+def _svd_roundoff(n, kappa):
+    # the SVD finds sigma_min = 1 of I - dt L to an absolute error of order
+    # u sigma_max = u kappa (u the machine epsilon), so its kappa is good
+    # to n u kappa relative,
+    # while the closed form has no sigma_min to lose (measured worst,
+    # N = 128: 2.3 u kappa, central p = 1 unstabilized, kappa = 8e11)
+    return n * np.finfo(float).eps * kappa
+
+
+def test_run_condition_takes_the_closed_form_on_every_dual_pair():
+    table = run_condition()
+    records = table.metadata["kappa"]
+    assert [(r["p"], r["pairing"], r["variant"]) for r in table.rows] == [
+        (r["p"], r["pairing"], r["variant"]) for r in records]
+    # the flow-weighted "mp" pair on a stabilized cell is not dual at p >= 1
+    assert [(r["p"], r["pairing"], r["variant"]) for r in records
+            if r["method"] == "svd"] == [(1, "mp", "dod"), (2, "mp", "dod")]
+    for row, record in zip(table.rows, records):
+        d_rho, d_gt, m, dt = _condition_pair(row["p"], row["pairing"],
+                                             row["variant"])
+        want = _svd_kappa(d_rho, d_gt, m, dt)
+        assert record["residual"] == sbp_residual(m, d_rho, d_gt)
+        if record["method"] == "svd":
+            assert row["kappa"] == want and record["dgt_norm_m"] is None
+        else:
+            assert record["method"] == "closed_form"
+            assert row["kappa"] == pytest.approx(
+                want, rel=_svd_roundoff(len(m), want), abs=0)
+            assert row["kappa"] == pytest.approx(
+                1.0 + dt * record["dgt_norm_m"] ** 2, rel=1e-14, abs=0)
+
+
+def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_svd(monkeypatch):
+    # one entry of a dual pair's D^rho moved by 1e-6 max|D^rho| breaks
+    # the duality far above PAIR_TOL: the SVD, not the closed form, holds
+    assemble = experiments.assemble_stabilized
+
+    def perturbed(space, kind, eta, weights):
+        d = assemble(space, kind, eta, weights)
+        if kind == UPWIND:
+            d[0, 1] += 1e-6 * np.max(np.abs(d))
+        return d
+
+    alphas = (0.3,)
+    _, record = experiments._condition_kappa(16, 1, "mp", "background", alphas)
+    assert record["method"] == "closed_form"
+    monkeypatch.setattr(experiments, "assemble_stabilized", perturbed)
+    got, record = experiments._condition_kappa(16, 1, "mp", "background",
+                                               alphas)
+    assert record["method"] == "svd" and record["dgt_norm_m"] is None
+    d_rho, d_gt, m, dt = _condition_pair(1, "mp", "background", 16, alphas)
+    d_rho[0, 1] += 1e-6 * np.max(np.abs(d_rho))
+    assert got == _svd_kappa(d_rho, d_gt, m, dt)
+
+
 @pytest.mark.parametrize("variant", ["background", "unstabilized"])
 @pytest.mark.parametrize("pairing", PAIRINGS)
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -651,15 +730,20 @@ def test_condition_kappa_without_stabilization_is_the_dual_pair_kappa(
         p, pairing, variant):
     # with no stabilized cell the flow-weighted pair is the plain dual
     # pair, which the symmetrized pair of operator_pair equals to
-    # roundoff; "central" is Dz bitwise in both constructions
+    # roundoff; "central" is Dz bitwise in both constructions, and its
+    # kappa differs from the SVD's only by the SVD's roundoff
     alphas = experiments.CONDITION_ALPHAS
     space, ops = experiments._build_case(32, p, alphas, pairing, variant)
     A = np.eye(space.n_dofs) - parabolic_dt(space.mesh.background_dx, p) * (
         ops.d_rho @ ops.d_gt)
     want = weighted_condition_number(A, ops.mass_diag)
-    got = experiments._condition_kappa(32, p, pairing, variant, alphas)
+    got, _ = experiments._condition_kappa(32, p, pairing, variant, alphas)
     if pairing == "central":
-        assert got == want
+        _, eta = experiments._variant_space(32, p, alphas, variant)
+        dz = assemble_stabilized(space, CENTRAL, eta, (0.5, 0.5))
+        assert np.array_equal(dz, ops.Dz)
+        assert got == pytest.approx(
+            want, rel=_svd_roundoff(space.n_dofs, want), abs=0)
     else:
         assert got == pytest.approx(want, rel=1e-9, abs=0)
 
