@@ -16,6 +16,7 @@ from .dg_space import (
     l2_norm_of_vector,
 )
 from .operators import (
+    BlockBand,
     OperatorSet,
     operator_pair,
     assemble_stabilized,

@@ -12,13 +12,19 @@ matrix is symmetric positive definite in the M inner product, and D^gt
 annihilates constants, so its smallest eigenvalue is exactly 1. The study
 takes that closed form, one symmetric eigensolve, for every pair that
 passes the duality check, and the SVD of the formed matrix for any other
-pair (_condition_kappa). All steppers used here are
+pair (_condition_kappa). The operators are block bands
+(operators.BlockBand): the steppers, the probe columns of a step matrix
+and the energy check multiply bands into states, and a band is densified
+only for a dense algorithm: the condition study's eigensolve or SVD, and
+the implicit-heat study's solves, which densify the band product
+L = D^rho D^gt once per variant. All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
 once, by one batched stepper call (linear_step_matrix). A telegraph or
 explicit-heat step couples only cells at most its reach R apart, a reach
-computed from the assembled operators and the tableau (_telegraph_band,
-_heat_band), so the stepper runs on probe columns, each the sum of
-identity columns whose cells lie at least 2R + 1 apart, and every entry
+read from the nonzero block diagonals of the assembled operators and the
+tableau (_telegraph_band, _heat_band), so the stepper runs on probe
+columns, each the sum of identity columns whose cells lie at least
+2R + 1 apart, and every entry
 of the matrix is still the stepper's own output. Where fewer than two
 such runs of cells fit, and for the implicit-heat step, whose matrix is
 dense, the stepper runs on the identity columns.
@@ -168,19 +174,16 @@ class StepBand(NamedTuple):
     reach: int
 
 
-def _cell_reach(nodes, *operators):
+def _cell_reach(*operators):
     """Largest cyclic cell distance between the row and column cells of a
-    nonzero nodes x nodes block of any of the operators."""
-    cells = operators[0].shape[0] // nodes
-    coupled = np.zeros((cells, cells), dtype=bool)
+    block diagonal holding a nonzero entry, over the bands given."""
+    reach = 0
     for A in operators:
-        # or over the node-strided slices: a reduction over the node axes
-        # of A.reshape(cells, nodes, cells, nodes) takes ~5x longer
-        nonzero = A != 0
-        rows = np.any([nonzero[a::nodes] for a in range(nodes)], axis=0)
-        coupled |= np.any([rows[:, b::nodes] for b in range(nodes)], axis=0)
-    d = np.abs(np.subtract(*np.nonzero(coupled)))
-    return int(np.max(np.minimum(d, cells - d), initial=0))
+        cells = len(A.blocks)
+        nonzero = np.flatnonzero(np.any(A.blocks != 0, axis=(0, 2, 3)))
+        d = (nonzero - A.reach) % cells
+        reach = max(reach, int(np.max(np.minimum(d, cells - d), initial=0)))
+    return reach
 
 
 def _stepper_for(tab):
@@ -207,15 +210,14 @@ def _telegraph_band(ops, tab):
     nodes = ops.space.nodes_per_cell
     s = tab.s
     applications = 2 * (s - 1) if _stepper_for(tab) is stable_ars_step else 2 * s
-    r = _cell_reach(nodes, ops.d_rho, ops.d_gt, ops.Dp_symm, ops.Dm_symm)
+    r = _cell_reach(ops.d_rho, ops.d_gt, ops.Dp_symm, ops.Dm_symm)
     return StepBand(2, ops.space.mesh.n_cells, nodes, applications * r)
 
 
 def _heat_band(ops, L, tab):
     """StepBand of one explicit_limit_step of L = heat_system(ops)."""
-    nodes = ops.space.nodes_per_cell
-    return StepBand(1, ops.space.mesh.n_cells, nodes,
-                    tab.s * _cell_reach(nodes, L))
+    return StepBand(1, ops.space.mesh.n_cells, ops.space.nodes_per_cell,
+                    tab.s * _cell_reach(L))
 
 
 def _telegraph_action(system, tab):
@@ -564,7 +566,8 @@ def _condition_kappa(n_bg, p, pairing, variant, alphas):
     B^T B, no n^3 product and no SVD. The pair counts as dual when its
     residual passes PAIR_TOL on the scale max(|M D^gt|, 1), the test
     symmetrize_upwind_pair applies; any other pair (the flow-weighted "mp"
-    pair on a stabilized cell, p >= 1) forms A and takes its SVD.
+    pair on a stabilized cell, p >= 1) forms A from the band product
+    D^rho D^gt and takes its SVD. Only B and A are dense.
     """
     space, eta = _variant_space(n_bg, p, alphas, variant)
     rho, gt = _CONDITION_FLOW_KINDS[pairing]
@@ -573,13 +576,15 @@ def _condition_kappa(n_bg, p, pairing, variant, alphas):
     m = mass_diagonal(space)
     dt = parabolic_dt(space.mesh.background_dx, p)
     residual = sbp_residual(m, d_rho, d_gt)
-    if residual <= PAIR_TOL * max(np.max(np.abs(m[:, None] * d_gt)), 1.0):
+    # max|M D^gt| over the blocks of the band
+    scale = np.max(np.abs(m.reshape(len(d_gt.blocks), 1, -1, 1) * d_gt.blocks))
+    if residual <= PAIR_TOL * max(scale, 1.0):
         sq = np.sqrt(m)
-        B = sq[:, None] * d_gt / sq[None, :]
+        B = sq[:, None] * d_gt.dense() / sq[None, :]
         norm_sq = float(np.linalg.eigvalsh(B.T @ B)[-1])
         return 1.0 + dt * norm_sq, dict(method="closed_form", residual=residual,
                                         dgt_norm_m=norm_sq ** 0.5)
-    A = np.eye(space.n_dofs) - dt * (d_rho @ d_gt)
+    A = np.eye(space.n_dofs) - dt * (d_rho @ d_gt).dense()
     return weighted_condition_number(A, m), dict(
         method="svd", residual=residual, dgt_norm_m=None)
 
@@ -669,7 +674,8 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
     blow_up = 1e6
     for variant in VARIANTS:
         space, ops = _build_case(cells, p, alphas, pairing, variant)
-        L, mass_diag = heat_system(ops), ops.mass_diag
+        # the implicit steps solve with I - dt/2 L: L is densified once
+        L, mass_diag = heat_system(ops).dense(), ops.mass_diag
         # drop the OperatorSet so only L outlives the assembly
         del ops
         dt = space.mesh.background_dx / (10.0 * (2 * p + 1))

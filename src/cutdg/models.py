@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dg_space import DGSpace, project
-from .operators import OperatorSet
+from .operators import BlockBand, OperatorSet
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,9 @@ def telegraph_system(opset: OperatorSet, eps) -> TelegraphSystem:
     return TelegraphSystem(opset=opset, eps=float(eps))
 
 
-def heat_system(opset: OperatorSet) -> np.ndarray:
-    """Heat-limit operator L = D^rho D^gt of rho_t = L rho."""
+def heat_system(opset: OperatorSet) -> BlockBand:
+    """Heat-limit operator L = D^rho D^gt of rho_t = L rho, the band
+    product, which couples cells up to 4 apart."""
     return opset.d_rho @ opset.d_gt
 
 

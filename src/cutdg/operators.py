@@ -4,16 +4,30 @@ All bilinear forms are assembled in the convention form(u, w) = w^T M D u;
 the helpers below build the matrix B = M D and return D = M^{-1} B (M is
 diagonal for the nodal Gauss-Legendre basis). The forms are local: each
 interface adds four (p+1) x (p+1) blocks coupling its two cells, and each
-small cell's correction couples the cell and its two neighbors. The
-background blocks are the same at every interface and cell, so the
-background form is block-circulant and is built in one scatter per block
-diagonal, with no loop over cells or interfaces; its diagonal blocks are
-summed in the order a loop over interfaces would sum them (see
-assemble_background_mform), so it equals that per-interface sum bitwise.
-Each small-cell form returns only its local block, the 3(p+1) x 3(p+1)
-coupling of cells (c-1, c, c+1) with their global dofs, and
+small cell's correction couples the cell and its two neighbors, so no
+operator couples cells more than 2 apart.
+
+Storage. Every operator is a BlockBand: a periodic block band whose
+blocks[i, d] is the k x k block (k = p + 1) coupling row cell i with
+column cell (i + d - reach) mod cells. The derivative operators have reach
+2, blocks of shape (cells, 5, k, k), about 5 / cells of an n x n array;
+a product of two bands is a band of the summed reach (D^rho D^gt reaches
+4 cells). A band multiplies states by gathering each cell's window of
+neighbor cells, and forms its n x n matrix only in dense(), which the
+package calls only where a dense algorithm needs the matrix: the
+dissipation eigenvalue of sbp_verify, the condition study's eigensolve or
+SVD, and the implicit-heat step. On a mesh of fewer cells than a band has
+diagonals, two diagonals name the same block, and dense(), @ and
+sbp_residual sum them.
+
+The background blocks are the same at every interface and cell, so the
+background form is three broadcast block diagonals, with no loop over
+cells or interfaces; its diagonal blocks are summed in the order a loop
+over interfaces would sum them (see assemble_background_mform), so it
+equals that per-interface sum bitwise. Each small-cell form returns only
+its local block, the 3(p+1) x 3(p+1) coupling of cells (c-1, c, c+1), and
 assemble_stabilized adds the flux block and then the volume block of each
-small cell, in mesh order, into the background B.
+small cell, in mesh order, into the background band (_add_local).
 
 assemble_stabilized builds the stabilized derivative of one flux kind,
 background plus small-cell corrections, directly as defined; with central
@@ -25,13 +39,14 @@ assembled. split_dissipation splits its m-form into the central m-form
 Bz = M Dz and the dissipation S = sym(M (D^- - Dz)), and builds S from its
 local pieces: a block-circulant background part and one symmetric
 3(p+1) x 3(p+1) block per small cell. symmetrize_upwind_pair then forms
-Dz and the pair in the buffers of Bz and S plus one new array.
+Dz and the pair in the buffers of Bz and S plus one new band.
 Every form is affine in the flux coefficients (H_a, H_b), which sum to 1,
 so the stabilized downwind operator is 2 Dz - D^- up to roundoff and is not
 assembled either. At p = 0 the stabilized pair is already dual, and the
 symmetrization moves it only by its roundoff ridge.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +65,108 @@ LAMBDA_C_HIGH = 0.45  # extension for p >= 2
 # that symmetrize_upwind_pair checks: consistent inputs leave roundoff of a
 # few eps (~1e-15), a central part that is not skew under M leaves O(1).
 PAIR_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=64)
+def _band_columns(cells, width):
+    """Column cell of every block of a band, shaped (cells, width); read
+    only, and computed once per shape."""
+    cols = (np.arange(cells)[:, None] + np.arange(width) - width // 2) % cells
+    cols.flags.writeable = False
+    return cols
+
+
+class BlockBand:
+    """Periodic block band of an n x n operator on cells of k dofs each.
+
+    blocks has shape (cells, 2 reach + 1, k, k); blocks[i, d] couples row
+    cell i with column cell (i + d - reach) mod cells. It is a view of the
+    rows, stored (cells, k, 2 reach + 1, k), so each cell's row block is one
+    contiguous k x (2 reach + 1) k matrix; writing into blocks writes the
+    band. A @ x takes x shaped (n,) or (n, m), or another band, whose
+    product is a band of the summed reach; dense() forms the n x n matrix.
+    Mixing a band into numpy arithmetic raises, so no operator is densified
+    by accident.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, blocks):
+        # no copy when blocks is already a view of rows in that layout
+        self._rows = np.ascontiguousarray(blocks.transpose(0, 2, 1, 3))
+        self.blocks = self._rows.transpose(0, 2, 1, 3)
+
+    @property
+    def reach(self):
+        return (self.blocks.shape[1] - 1) // 2
+
+    @property
+    def shape(self):
+        cells, _, k, _ = self.blocks.shape
+        return cells * k, cells * k
+
+    def __matmul__(self, x):
+        cells, width, k, _ = self.blocks.shape
+        cols = _band_columns(cells, width)
+        if isinstance(x, BlockBand):
+            # (A B)[i, da + db] = sum over da of A[i, da] B[i + da - reach_a, db]
+            out = np.zeros((cells, width + x.blocks.shape[1] - 1, k, k))
+            for da, col in enumerate(cols.T):
+                out[:, da:da + x.blocks.shape[1]] += (
+                    self.blocks[:, da, None] @ x.blocks[col])
+            return BlockBand(out)
+        # each cell's row block times its window of column cells:
+        # one batched (k, width k) @ (width k, m) product. The window is
+        # gathered from C-ordered rows, 6x faster than from a transpose
+        x = np.ascontiguousarray(x)
+        window = x.reshape(cells, k, -1)[cols].reshape(cells, width * k, -1)
+        return (self._rows.reshape(cells, k, width * k) @ window).reshape(x.shape)
+
+    def dense(self):
+        """The n x n matrix; blocks that alias one block are summed."""
+        cells, width, k, _ = self.blocks.shape
+        out = np.zeros((cells, k, cells, k))
+        i = np.arange(cells)
+        for d, col in enumerate(_band_columns(cells, width).T):
+            out[i, :, col, :] += self.blocks[:, d]
+        return out.reshape(cells * k, cells * k)
+
+
+def _folded(band):
+    """The band's blocks, with each diagonal that names the same blocks as
+    an earlier one (a mesh of fewer cells than diagonals) summed into the
+    earlier one and zeroed."""
+    cells, width = band.blocks.shape[:2]
+    if cells >= width:
+        return band.blocks
+    offsets = (np.arange(width) - band.reach) % cells
+    blocks = np.zeros(band.blocks.shape)
+    for d, offset in enumerate(offsets):
+        blocks[:, np.argmax(offsets == offset)] += band.blocks[:, d]
+    return blocks
+
+
+@functools.lru_cache(maxsize=64)
+def _opposite_diagonals(cells, width):
+    """For each diagonal of a band, the first diagonal of the opposite
+    offset, and whether it aliases an earlier diagonal (cells < width)."""
+    offsets = np.arange(width) - width // 2
+    partner = tuple(int(np.argmax((offsets + o) % cells == 0)) for o in offsets)
+    aliased = tuple(bool(np.argmax(offsets % cells == o % cells) != d)
+                    for d, o in enumerate(offsets))
+    return partner, aliased
+
+
+def _transposed(blocks):
+    """Blocks of the transpose of a folded band (see _folded), in the same
+    layout: block (i, d) is the transpose of block (j, d') of the band, for
+    j = i + d - reach and d' the first diagonal of the opposite offset."""
+    cells, width = blocks.shape[:2]
+    partner, aliased = _opposite_diagonals(cells, width)
+    out = blocks[_band_columns(cells, width), partner].swapaxes(-1, -2)
+    # an aliased diagonal holds none of the folded band's blocks
+    out[:, list(aliased)] = 0.0
+    return out
 
 
 def lambda_c(p):
@@ -116,42 +233,40 @@ def _interface_blocks(space, ha, hb):
     return rr, rl, lr, ll
 
 
-def _block_circulant(space, first, diag, upper, lower):
-    """n_dofs x n_dofs matrix of periodic block tridiagonal structure.
+def _circulant_band(space, first, diag, upper, lower):
+    """Reach-2 band of periodic block tridiagonal structure.
 
     Block (i, i) is `diag`, but `first` at cell 0; blocks (i, i+1) and
-    (i+1, i) are `upper` and `lower`. Written in one scatter per block
-    diagonal, with no loop over cells.
+    (i+1, i) are `upper` and `lower`, broadcast along their block diagonal,
+    with no loop over cells. The +-2 diagonals stay zero for the small-cell
+    blocks.
     """
-    n, k = space.mesh.n_cells, space.nodes_per_cell
-    B = np.zeros((space.n_dofs, space.n_dofs))
-    blocks = B.reshape(n, k, n, k)  # a view: blocks[i, :, j, :] is (i, j)
-    i = np.arange(n)
-    ip = (i + 1) % n
-    blocks[i[1:], :, i[1:], :] += diag
-    blocks[0, :, 0, :] += first
-    blocks[i, :, ip, :] += upper
-    blocks[ip, :, i, :] += lower
-    return B
+    k = space.nodes_per_cell
+    blocks = np.zeros((space.mesh.n_cells, 5, k, k))
+    blocks[:, 1] = lower
+    blocks[:, 2] = diag
+    blocks[0, 2] = first
+    blocks[:, 3] = upper
+    return BlockBand(blocks)
 
 
 def assemble_background_mform(space: DGSpace, kind):
-    """B = M D for the background DG derivative with flux `kind`.
+    """B = M D for the background DG derivative with flux `kind`, a band.
 
     The -1/+1 reference traces do not depend on the cell size, so every
     interface adds the same four (p+1) x (p+1) blocks and every cell the
-    same volume block: B is block-circulant, written by _block_circulant
-    in one scatter per block diagonal. Each diagonal block sums its
-    volume block and the blocks of the interfaces on its left and right, in
-    the order of a loop over interfaces 0..n-1; cell 0 meets its right
-    interface (0) before its left one (n-1), so its sum runs in the other
-    order, which keeps B bitwise equal to the per-interface sum.
+    same volume block: B is block-circulant, three block diagonals written
+    by _circulant_band. Each diagonal block sums its volume block and the
+    blocks of the interfaces on its left and right, in the order of a loop
+    over interfaces 0..n-1; cell 0 meets its right interface (0) before its
+    left one (n-1), so its sum runs in the other order, which keeps B
+    bitwise equal to the per-interface sum.
     """
     # volume term: -int_E u dx(w); with the collocation basis the block is
     # -(diag(w_ref) @ D_ref)^T independent of the cell size
     vol = -(np.diag(space.ref_weights) @ space.ref_diff).T
     rr, rl, lr, ll = _interface_blocks(space, *_flux_coeffs(kind))
-    return _block_circulant(space, (vol + rr) + ll, (vol + ll) + rr, rl, lr)
+    return _circulant_band(space, (vol + rr) + ll, (vol + ll) + rr, rl, lr)
 
 
 def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
@@ -159,8 +274,8 @@ def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
 
     Replaces a fraction eta_c of the fluxes at both interfaces of the small
     cell by fluxes built from the extended neighbor polynomials. Returns
-    (dofs, block): the global dofs of cells (c-1, c, c+1), periodic, in that
-    order, and their 3(p+1) x 3(p+1) block; the form is zero outside it.
+    the 3(p+1) x 3(p+1) block coupling cells (c-1, c, c+1), periodic, in
+    that order; the form is zero outside it.
     """
     mesh = space.mesh
     if c not in mesh.small_cells:
@@ -183,7 +298,7 @@ def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
     # interface c+1/2: H(u_{c-1}, u_{c+1}) - H(u_c, u_{c+1})
     block += eta_c * np.outer(np.concatenate((zero, right, -left)),
                               np.concatenate((ha * ext_m, ha * -right, zero)))
-    return np.r_[space.dofs(cm), space.dofs(c), space.dofs(cp)], block
+    return block
 
 
 def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
@@ -195,7 +310,7 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
     H(j) = (H(u_{c-1},u_{c+1}) - u_j) dx(w_j)
            + H_a u_j dx(w_{c-1}) + H_b u_j dx(w_{c+1}).
     All integrands have degree <= 2p-1, so the cell's own quadrature rule
-    is exact. Returns (dofs, block) as assemble_dod_flux_mform does.
+    is exact. Returns the block as assemble_dod_flux_mform does.
     """
     mesh = space.mesh
     if c not in mesh.small_cells:
@@ -205,10 +320,9 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
     n, k = mesh.n_cells, space.nodes_per_cell
     cells = ((c - 1) % n, c, (c + 1) % n)
     block = np.zeros((3, k, 3, k))  # block[a, :, b, :] couples cells[a], cells[b]
-    dofs = np.r_[tuple(space.dofs(j) for j in cells)]
     if space.degree == 0 or eta_c == 0.0:
         # test derivatives vanish / no stabilization
-        return dofs, block.reshape(3 * k, 3 * k)
+        return block.reshape(3 * k, 3 * k)
 
     ha, hb = _flux_coeffs(kind)
     K = (L_c, -1.0, R_c)
@@ -229,7 +343,7 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
             trial = slot[b] * E[b] - E[b] if a == b else slot[b] * E[b]
             block[a, :, b, :] = eta_c * (
                 K[a] * (GW[a] @ trial) + K[b] * slot[a] * (GW[a] @ E[b]))
-    return dofs, block.reshape(3 * k, 3 * k)
+    return block.reshape(3 * k, 3 * k)
 
 
 def _check_eta(space, eta):
@@ -238,22 +352,34 @@ def _check_eta(space, eta):
         raise ValueError(f"eta missing for small cells {missing}")
 
 
+def _add_local(band, c, block):
+    """Add a small cell's 3(p+1) x 3(p+1) block, coupling cells
+    (c-1, c, c+1), into a reach-2 band: block (a, b) goes to row cell
+    c - 1 + a, diagonal b - a + 2. A mesh has at least 4 cells, so the
+    three row cells are distinct and no block repeats within the +=.
+    """
+    cells, _, k, _ = band.blocks.shape
+    a = np.arange(3)
+    band.blocks[(c - 1 + a[:, None]) % cells, a - a[:, None] + 2] += (
+        block.reshape(3, k, 3, k).swapaxes(1, 2))
+
+
 def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
     """Full DoD-stabilized derivative: background + sum over small cells.
 
     Each small cell's flux block and then its volume block, with volume
-    weights (L_c, R_c), is added to B in mesh order.
+    weights (L_c, R_c), is added to B in mesh order; returns the band
+    B / M.
     """
     _check_eta(space, eta)
     B = assemble_background_mform(space, kind)
-    # a mesh has at least 4 cells, so the three cells of a block are
-    # distinct and no dof repeats within one fancy-indexed +=
     for c in space.mesh.small_cells:
-        for dofs, block in (
+        for block in (
                 assemble_dod_flux_mform(space, c, kind, eta[c]),
                 assemble_dod_volume_mform(space, c, kind, eta[c], *volume_weights)):
-            B[np.ix_(dofs, dofs)] += block
-    return B / mass_diagonal(space)[:, None]
+            _add_local(B, c, block)
+    B.blocks /= mass_diagonal(space).reshape(-1, 1, space.nodes_per_cell, 1)
+    return B
 
 
 def split_dissipation(space, eta):
@@ -271,76 +397,83 @@ def split_dissipation(space, eta):
       -1/2 r l^T and -1/2 l r^T off it. Each entry is a product of two
       traces halved, so this block-circulant part is exactly symmetric;
     - per small cell, sym(upwind - central) of its flux plus volume
-      blocks, added at the dofs of cells (c-1, c, c+1).
+      blocks, added at the blocks of cells (c-1, c, c+1).
 
     Each small cell's central and upwind blocks are computed once. S is
-    exactly symmetric. Returns (bz, s), the only n x n arrays allocated.
+    exactly symmetric. Returns the bands (bz, s).
     """
     _check_eta(space, eta)
     bz = assemble_background_mform(space, CENTRAL)
     (ha_up, hb_up), (ha_z, hb_z) = _flux_coeffs(UPWIND), _flux_coeffs(CENTRAL)
     rr, rl, lr, ll = _interface_blocks(space, ha_up - ha_z, hb_up - hb_z)
-    s = _block_circulant(space, rr + ll, rr + ll, rl, lr)
+    s = _circulant_band(space, rr + ll, rr + ll, rl, lr)
     for c in space.mesh.small_cells:
-        dofs, flux = assemble_dod_flux_mform(space, c, CENTRAL, eta[c])
-        _, vol = assemble_dod_volume_mform(space, c, CENTRAL, eta[c])
-        ix = np.ix_(dofs, dofs)
-        bz[ix] += flux
-        bz[ix] += vol
-        diff = ((assemble_dod_flux_mform(space, c, UPWIND, eta[c])[1] - flux)
-                + (assemble_dod_volume_mform(space, c, UPWIND, eta[c])[1] - vol))
-        s[ix] += 0.5 * (diff + diff.T)
+        flux = assemble_dod_flux_mform(space, c, CENTRAL, eta[c])
+        vol = assemble_dod_volume_mform(space, c, CENTRAL, eta[c])
+        _add_local(bz, c, flux)
+        _add_local(bz, c, vol)
+        diff = ((assemble_dod_flux_mform(space, c, UPWIND, eta[c]) - flux)
+                + (assemble_dod_volume_mform(space, c, UPWIND, eta[c]) - vol))
+        _add_local(s, c, 0.5 * (diff + diff.T))
     return bz, s
 
 
-# sbp_residual scans this many rows at a time: its temporaries are n x 32
-# arrays, small enough that the one read transposed stays in cache (twice
-# as fast as 1/16 of the rows at n = 3087)
-PAIR_CHECK_ROWS = 32
+def _mform_sum(mass_diag, a, b):
+    """Blocks of M A + (M B)^T for M = diag(mass_diag) and the bands A and
+    B, in A's layout. Entry (i, j) is m_i A_ij + m_j B_ji, as the n x n
+    algebra forms it."""
+    cells, _, k, _ = a.blocks.shape
+    m = mass_diag.reshape(cells, 1, k, 1)
+    return m * _folded(a) + _transposed(m * _folded(b))
 
 
 def sbp_residual(mass_diag, a, b):
-    """max |M A + (M B)^T| for M = diag(mass_diag), PAIR_CHECK_ROWS rows at
-    a time, so no n x n temporary is formed.
+    """max |M A + (M B)^T| for M = diag(mass_diag) and the bands A and B,
+    over the blocks of the band only, so no n x n array is formed.
 
     B = A gives the periodic SBP residual of A (zero iff M A is skew),
-    B = D^- with A = D^+ the duality residual of an upwind pair. Entry
-    (i, j) is m_i A_ij + m_j B_ji, as the dense sum forms it, and a NaN
+    B = D^- with A = D^+ the duality residual of an upwind pair. A NaN
     entry gives NaN.
     """
-    m = mass_diag[:, None]
-    rows = PAIR_CHECK_ROWS
-    return float(np.max([
-        np.max(np.abs(m[r:r + rows] * a[r:r + rows] + (m * b[:, r:r + rows]).T))
-        for r in range(0, len(mass_diag), rows)]))
+    return float(np.max(np.abs(_mform_sum(mass_diag, a, b))))
+
+
+def dissipation_matrix(mass_diag, dp, dm):
+    """sym(M (D^+ - D^-)) of the bands D^+ and D^- as an n x n matrix, for
+    a dense eigensolver; formed on the blocks, each entry as the n x n
+    algebra forms it, and densified once."""
+    diff = BlockBand(dp.blocks - dm.blocks)
+    return BlockBand(0.5 * _mform_sum(mass_diag, diff, diff)).dense()
 
 
 def symmetrize_upwind_pair(bz, s, mass_diag):
     """The symmetrized upwind pair D^{+/-,symm} = Dz -/+ M^{-1} S, formed in
-    place; returns (Dz, D^+, D^-).
+    place; returns the bands (Dz, D^+, D^-).
 
     bz = M Dz and s = S are the central m-form and the symmetric dissipation
     of split_dissipation. A roundoff ridge is added to the diagonal of S;
-    then D^- = (Bz + S) / M goes to a new array, D^+ = (Bz - S) / M to s's
-    buffer and Dz = Bz / M to bz's buffer, so the three returned operators
-    are the only n x n arrays alive. All algebra happens on the M-weighted
-    matrices so small-cell rows do not amplify roundoff. The pair satisfies
-    M D^+ + (D^-)^T M = 0, which sbp_residual checks in row blocks (a NaN
-    fails it), and makes M (D^+ - D^-) negative semidefinite.
+    then D^- = (Bz + S) / M goes to new blocks, D^+ = (Bz - S) / M to s's
+    blocks and Dz = Bz / M to bz's. All algebra happens on the M-weighted
+    blocks so small-cell rows do not amplify roundoff, and each entry is
+    computed as the n x n algebra would compute it. The pair satisfies
+    M D^+ + (D^-)^T M = 0, which sbp_residual checks (a NaN fails it), and
+    makes M (D^+ - D^-) negative semidefinite.
     """
     # roundoff-scaled ridge: the division by M and re-multiplication in the
     # structure checks perturb entries by eps * |B|; shifting the symmetric
     # part by a slightly larger multiple of the identity (relative size
     # ~1e-15) keeps the stored pair dissipative under that perturbation
-    bz_max = np.max(np.abs(bz))
-    mu = 32.0 * np.finfo(float).eps * max(bz_max, np.max(np.abs(s)))
-    s[np.diag_indices_from(s)] += mu
-    m = mass_diag[:, None]
-    dm = np.add(bz, s)
+    bz_max = np.max(np.abs(bz.blocks))
+    mu = 32.0 * np.finfo(float).eps * max(bz_max, np.max(np.abs(s.blocks)))
+    k = bz.blocks.shape[-1]
+    s.blocks[:, s.reach, np.arange(k), np.arange(k)] += mu
+    m = mass_diag.reshape(-1, 1, k, 1)
+    dm = np.add(bz.blocks, s.blocks)
     dm /= m
-    dp = np.subtract(bz, s, out=s)
+    dp = np.subtract(bz.blocks, s.blocks, out=s.blocks)
     dp /= m
-    dz = np.divide(bz, m, out=bz)
+    dz = np.divide(bz.blocks, m, out=bz.blocks)
+    dz, dp, dm = BlockBand(dz), BlockBand(dp), BlockBand(dm)
     if not sbp_residual(mass_diag, dp, dm) <= PAIR_TOL * max(bz_max, 1.0):
         raise RuntimeError("symmetrized pair fails the duality identity")
     return dz, dp, dm
@@ -351,25 +484,21 @@ PAIRINGS = ("mp", "pm", "central")
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Assembled operators for one space/eta configuration.
+    """Assembled operators for one space/eta configuration, as bands.
 
     d_rho/d_gt are the pairing-selected derivative operators of the two
     equations; the symmetrized pair is always available because the g-tilde
-    equation's drift term uses (D^+ - D^-) regardless of pairing.
+    equation's drift term uses d_diff = D^+ - D^- regardless of pairing.
     """
 
     space: DGSpace
     mass_diag: np.ndarray
-    Dz: np.ndarray
-    Dp_symm: np.ndarray
-    Dm_symm: np.ndarray
-    d_rho: np.ndarray
-    d_gt: np.ndarray
-
-    @property
-    def d_diff(self):
-        """D^+ - D^- of the symmetrized pair (drives the drift term)."""
-        return self.Dp_symm - self.Dm_symm
+    Dz: BlockBand
+    Dp_symm: BlockBand
+    Dm_symm: BlockBand
+    d_rho: BlockBand
+    d_gt: BlockBand
+    d_diff: BlockBand
 
 
 def operator_pair(space, pairing, eta=None):
@@ -378,9 +507,8 @@ def operator_pair(space, pairing, eta=None):
     Every degree takes the symmetrized pair (Dp_symm, Dm_symm) built from
     the stabilized central m-form and the local dissipation S of
     split_dissipation; "mp" and "pm" select it in either order, and
-    "central" takes Dz for both equations. Only the three returned
-    operators and one row block of the duality check are ever n x n
-    arrays (3.0 to 3.3 n^2 doubles at peak, p = 2).
+    "central" takes Dz for both equations. D^+ - D^- is formed once, for
+    the drift term. Every operator is a band, and no n x n array is formed.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
@@ -405,4 +533,5 @@ def operator_pair(space, pairing, eta=None):
         Dm_symm=dm_symm,
         d_rho=d_rho,
         d_gt=d_gt,
+        d_diff=BlockBand(dp_symm.blocks - dm_symm.blocks),
     )

@@ -3,11 +3,13 @@
 Every check returns a residual; the caller compares against a threshold.
 Sign conventions: skew/duality residuals are max-norms (always >= 0), the
 dissipation eigenvalue and the energy derivative carry their sign, which
-is the verdict (<= 0 up to roundoff means stable). The skew and duality
-residuals are both max |M A + (M B)^T|, computed in row blocks by
+is the verdict (<= 0 up to roundoff means stable). The operators are the
+bands of cutdg.operators. The skew and duality residuals are both
+max |M A + (M B)^T|, computed on the bands' blocks by
 operators.sbp_residual, the kernel that also guards the pair that
-operator_pair forms; only the dissipation eigenvalue forms an n x n
-matrix here.
+operator_pair forms, and the energy check multiplies bands into states;
+only the dissipation eigenvalue forms an n x n matrix, sym(M (D+ - D-)),
+for its dense eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import energy, telegraph_system
-from .operators import OperatorSet, sbp_residual
+from .operators import OperatorSet, dissipation_matrix, sbp_residual
 
 SKEW_TOL = 1e-11
 DUALITY_TOL = 1e-11
@@ -48,9 +50,9 @@ def _as_diag(M):
 
 
 def check_periodic_sbp(M, D):
-    """Max-norm of M D + D^T M (zero iff D is a periodic SBP operator)."""
+    """Max-norm of M D + D^T M (zero iff the band D is a periodic SBP
+    operator)."""
     m = _as_diag(M)
-    D = np.asarray(D)
     if D.shape[0] != D.shape[1] or D.shape[0] != len(m):
         raise ValueError("dimension mismatch between M and D")
     return sbp_residual(m, D, D)
@@ -59,18 +61,16 @@ def check_periodic_sbp(M, D):
 def check_upwind_sbp(M, Dp, Dm):
     """Duality residual and the largest dissipation eigenvalue.
 
-    Returns (max-norm of M Dp + Dm^T M, lambda_max of sym(M (Dp - Dm))).
-    Both must be <= tolerance (the eigenvalue possibly negative) for
-    (Dp, Dm) to form a periodic upwind SBP pair.
+    Returns (max-norm of M Dp + Dm^T M, lambda_max of sym(M (Dp - Dm)))
+    for the bands Dp and Dm. Both must be <= tolerance (the eigenvalue
+    possibly negative) for (Dp, Dm) to form a periodic upwind SBP pair.
+    sym(M (Dp - Dm)) is densified once, for the eigensolve.
     """
     m = _as_diag(M)
-    Dp, Dm = np.asarray(Dp), np.asarray(Dm)
     if Dp.shape != Dm.shape or Dp.shape[0] != len(m):
         raise ValueError("dimension mismatch between M and operators")
     dual = sbp_residual(m, Dp, Dm)
-    A = m[:, None] * (Dp - Dm)
-    A = 0.5 * (A + A.T)
-    eig = float(np.linalg.eigvalsh(A)[-1])
+    eig = float(np.linalg.eigvalsh(dissipation_matrix(m, Dp, Dm))[-1])
     return dual, eig
 
 
@@ -81,7 +81,7 @@ def check_energy_decay(opset: OperatorSet, eps, trials=200, rng_seed=0):
     right side f + g of the split telegraph system (models.telegraph_system,
     which requires eps > 0) and returns the maximum of the ratio
     derivative / energy; a value <= 0 (up to roundoff) certifies decay.
-    All trials are evaluated at once, as (n, trials) columns, three matrix
+    All trials are evaluated at once, as (n, trials) columns, three band
     products in total.
     """
     system = telegraph_system(opset, eps)

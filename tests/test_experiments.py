@@ -12,9 +12,9 @@ import pytest
 import cutdg
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
-from cutdg.operators import (CENTRAL, PAIRINGS, UPWIND, assemble_stabilized,
-                             default_eta, mass_diagonal, operator_pair,
-                             sbp_residual)
+from cutdg.operators import (CENTRAL, PAIRINGS, UPWIND, BlockBand,
+                             assemble_stabilized, default_eta, mass_diagonal,
+                             operator_pair, sbp_residual)
 from cutdg.models import (decay_rate, heat_system, telegraph_system,
                           well_prepared_init)
 from cutdg.time_integration import (
@@ -400,19 +400,19 @@ def test_build_case_variants():
     space, ops = experiments._build_case(16, 1, alphas, "mp", "background")
     assert space.mesh.small_cells == () and space.mesh.n_cells == 16
     background = operator_pair(space, "mp", eta={})
-    assert np.array_equal(ops.Dm_symm, background.Dm_symm)
+    assert np.array_equal(ops.Dm_symm.blocks, background.Dm_symm.blocks)
     space, ops = experiments._build_case(16, 1, alphas, "mp", "unstabilized")
     assert len(space.mesh.small_cells) == len(alphas)
     unstab = operator_pair(
         space, "mp", eta={c: 0.0 for c in space.mesh.small_cells})
-    assert np.array_equal(ops.Dm_symm, unstab.Dm_symm)
+    assert np.array_equal(ops.Dm_symm.blocks, unstab.Dm_symm.blocks)
     space, ops = experiments._build_case(16, 1, alphas, "mp")
     eta = default_eta(space)
     assert set(eta) == set(space.mesh.small_cells)
     assert all(e > 0.0 for e in eta.values())
     dod = operator_pair(space, "mp", eta=eta)
-    assert np.array_equal(ops.Dm_symm, dod.Dm_symm)
-    assert not np.array_equal(ops.Dm_symm, unstab.Dm_symm)
+    assert np.array_equal(ops.Dm_symm.blocks, dod.Dm_symm.blocks)
+    assert not np.array_equal(ops.Dm_symm.blocks, unstab.Dm_symm.blocks)
 
 
 def test_parabolic_dt_scaling():
@@ -665,7 +665,8 @@ def _condition_pair(p, pairing, variant, cells=128,
 
 
 def _svd_kappa(d_rho, d_gt, m, dt):
-    return weighted_condition_number(np.eye(len(m)) - dt * (d_rho @ d_gt), m)
+    return weighted_condition_number(
+        np.eye(len(m)) - dt * (d_rho @ d_gt).dense(), m)
 
 
 def _svd_roundoff(n, kappa):
@@ -708,7 +709,8 @@ def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_svd(monkeypatch):
     def perturbed(space, kind, eta, weights):
         d = assemble(space, kind, eta, weights)
         if kind == UPWIND:
-            d[0, 1] += 1e-6 * np.max(np.abs(d))
+            # entry (0, 1): cell 0's nodes 0 and 1 at p = 1
+            d.blocks[0, 2, 0, 1] += 1e-6 * np.max(np.abs(d.blocks))
         return d
 
     alphas = (0.3,)
@@ -719,7 +721,7 @@ def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_svd(monkeypatch):
                                                alphas)
     assert record["method"] == "svd" and record["dgt_norm_m"] is None
     d_rho, d_gt, m, dt = _condition_pair(1, "mp", "background", 16, alphas)
-    d_rho[0, 1] += 1e-6 * np.max(np.abs(d_rho))
+    d_rho.blocks[0, 2, 0, 1] += 1e-6 * np.max(np.abs(d_rho.blocks))
     assert got == _svd_kappa(d_rho, d_gt, m, dt)
 
 
@@ -735,13 +737,13 @@ def test_condition_kappa_without_stabilization_is_the_dual_pair_kappa(
     alphas = experiments.CONDITION_ALPHAS
     space, ops = experiments._build_case(32, p, alphas, pairing, variant)
     A = np.eye(space.n_dofs) - parabolic_dt(space.mesh.background_dx, p) * (
-        ops.d_rho @ ops.d_gt)
+        ops.d_rho.dense() @ ops.d_gt.dense())
     want = weighted_condition_number(A, ops.mass_diag)
     got, _ = experiments._condition_kappa(32, p, pairing, variant, alphas)
     if pairing == "central":
         _, eta = experiments._variant_space(32, p, alphas, variant)
         dz = assemble_stabilized(space, CENTRAL, eta, (0.5, 0.5))
-        assert np.array_equal(dz, ops.Dz)
+        assert np.array_equal(dz.blocks, ops.Dz.blocks)
         assert got == pytest.approx(
             want, rel=_svd_roundoff(space.n_dofs, want), abs=0)
     else:
@@ -786,7 +788,7 @@ def test_run_heat_implicit_matches_lu_step_loop(t_final, n_steps):
         space = build_space(mesh, 1)
         eta = {c: 0.0 for c in mesh.small_cells} if variant == "unstabilized" else None
         ops = operator_pair(space, "mp", eta=eta)
-        L = heat_system(ops)
+        L = heat_system(ops).dense()
         dt = mesh.background_dx / 30.0
         assert dt == SMALL_HEAT_DT
         rho = project(space, np.cos)
@@ -815,8 +817,13 @@ def test_run_heat_implicit_stops_at_an_overflow_inside_a_block(monkeypatch):
     assert HEAT_BLOCK + 1 < first < 2 * HEAT_BLOCK - 1
     g = (1e6 / np.sqrt(np.pi)) ** (1.0 / (first - 0.5))
     c = (2.0 / SMALL_HEAT_DT) * (g - 1.0) / (g + 1.0)
-    monkeypatch.setattr(experiments, "heat_system",
-                        lambda ops: c * np.eye(ops.mass_diag.size))
+    def scaled_identity(ops):
+        cells, k = ops.space.mesh.n_cells, ops.space.nodes_per_cell
+        blocks = np.zeros((cells, 5, k, k))
+        blocks[:, 2] = c * np.eye(k)
+        return BlockBand(blocks)
+
+    monkeypatch.setattr(experiments, "heat_system", scaled_identity)
     step_sizes = []
 
     def midpoint_step(L, u, dt):

@@ -6,7 +6,9 @@ polynomial (numpy polyfit), integrates volume terms analytically with
 Polynomial.integ, and evaluates traces and extensions by direct polynomial
 evaluation. The oracle shares no code with the barycentric assembly path.
 At degree 0 with a single cut, p0_closed_form writes the stabilized pair
-out entry by entry, a second reference (criterion 2).
+out entry by entry, a second reference (criterion 2). The operators are
+bands; the tests compare their dense() matrices, and dense_sbp_residual
+is the n x n oracle of the banded SBP residual.
 """
 
 import tracemalloc
@@ -18,6 +20,7 @@ from numpy.polynomial import Polynomial
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space
 from cutdg.operators import (
+    BlockBand,
     CENTRAL,
     DOWNWIND,
     PAIR_TOL,
@@ -33,8 +36,9 @@ from cutdg.operators import (
     sbp_residual,
     split_dissipation,
     symmetrize_upwind_pair,
+    _add_local,
 )
-from cutdg.sbp_verify import check_upwind_sbp
+from cutdg.sbp_verify import DISSIPATION_TOL, DUALITY_TOL, check_upwind_sbp
 
 FLUX = {UPWIND: (1.0, 0.0), DOWNWIND: (0.0, 1.0), CENTRAL: (0.5, 0.5)}
 
@@ -224,8 +228,8 @@ def check_p0_closed_form(space, alpha, eta_c):
         raise ValueError("closed forms assume a single cut")
     (c,) = space.mesh.small_cells
     eta = {c: eta_c}
-    dm = assemble_stabilized(space, UPWIND, eta)
-    dp = assemble_stabilized(space, DOWNWIND, eta)
+    dm = assemble_stabilized(space, UPWIND, eta).dense()
+    dp = assemble_stabilized(space, DOWNWIND, eta).dense()
     dm_ref, dp_ref = p0_closed_form(space, alpha, eta_c)
     worst = 0.0
     for got, ref in ((dm, dm_ref), (dp, dp_ref)):
@@ -251,7 +255,7 @@ MESH_CASES = [
 @pytest.mark.parametrize("cuts", MESH_CASES)
 def test_background_matches_oracle(p, kind, cuts):
     space = make_space(p, cuts)
-    got = assemble_background_mform(space, kind)
+    got = assemble_background_mform(space, kind).dense()
     want = oracle_background(space, kind)
     scale = max(np.max(np.abs(want)), 1.0)
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -261,10 +265,12 @@ def test_background_matches_oracle(p, kind, cuts):
 SMALL_CELL_0 = [(0, 0.3, "left")]
 
 
-def local_block_error(form, oracle):
-    """Relative error of a small-cell form's (dofs, block) against its dense
-    oracle, which must be exactly zero outside the block."""
-    dofs, block = form
+def local_block_error(space, c, block, oracle):
+    """Relative error of small cell c's local block, on the dofs of cells
+    (c-1, c, c+1), against its dense oracle, which must be exactly zero
+    outside the block."""
+    n = space.mesh.n_cells
+    dofs = np.r_[tuple(space.dofs(j % n) for j in (c - 1, c, c + 1))]
     outside = np.ones(oracle.shape, dtype=bool)
     outside[np.ix_(dofs, dofs)] = False
     assert not np.any(oracle[outside])
@@ -278,7 +284,8 @@ def local_block_error(form, oracle):
 def test_dod_flux_matches_oracle(p, kind, cuts):
     space = make_space(p, cuts)
     for c in space.mesh.small_cells:
-        assert local_block_error(assemble_dod_flux_mform(space, c, kind, 0.7),
+        assert local_block_error(space, c,
+                                 assemble_dod_flux_mform(space, c, kind, 0.7),
                                  oracle_dod_flux(space, c, kind, 0.7)) <= 1e-12
 
 
@@ -290,7 +297,7 @@ def test_dod_volume_matches_oracle(p, kind, lr, cuts):
     space = make_space(p, cuts)
     for c in space.mesh.small_cells:
         assert local_block_error(
-            assemble_dod_volume_mform(space, c, kind, 0.7, *lr),
+            space, c, assemble_dod_volume_mform(space, c, kind, 0.7, *lr),
             oracle_dod_volume(space, c, kind, 0.7, *lr)) <= 1e-12
 
 
@@ -333,7 +340,7 @@ CONVERGENCE_CUTS = (1e-7, 1e-3, 1e-1, 0.3, 0.49)
 def test_background_and_mass_equal_the_cell_loops(n, cuts, p):
     space = build_space(build_cut_cell_mesh(-np.pi, np.pi, n, cuts), p)
     for kind in (UPWIND, DOWNWIND, CENTRAL):
-        assert np.array_equal(assemble_background_mform(space, kind),
+        assert np.array_equal(assemble_background_mform(space, kind).dense(),
                               loop_background(space, kind))
     assert np.array_equal(mass_diagonal(space), loop_mass_diagonal(space))
 
@@ -344,7 +351,7 @@ def test_stabilized_is_sum_of_parts(weights, kind):
     space = make_space(2, [(2, 0.3, "left")])
     eta = {c: 0.6 for c in space.mesh.small_cells}
     md = mass_diagonal(space)
-    got = md[:, None] * assemble_stabilized(space, kind, eta, weights)
+    got = md[:, None] * assemble_stabilized(space, kind, eta, weights).dense()
     want = oracle_background(space, kind)
     for c in space.mesh.small_cells:
         want += oracle_dod_flux(space, c, kind, 0.6)
@@ -364,7 +371,7 @@ def test_background_derivative_exact_on_projected_polynomial():
     space = make_space(3, [(2, 0.3, "left")])
     from cutdg.dg_space import project, l2_error
 
-    d = assemble_background_mform(space, CENTRAL) / mass_diagonal(space)[:, None]
+    d = assemble_background_mform(space, CENTRAL).dense() / mass_diagonal(space)[:, None]
     u = project(space, np.sin)
     err = l2_error(space, d @ u, np.cos)
     assert err < 2e-2  # interpolation-limited, not assembly-limited
@@ -372,7 +379,7 @@ def test_background_derivative_exact_on_projected_polynomial():
 
 def test_central_background_is_skew_under_mass():
     space = make_space(2, [(1, 0.2, "left")])
-    B = assemble_background_mform(space, CENTRAL)
+    B = assemble_background_mform(space, CENTRAL).dense()
     assert np.max(np.abs(B + B.T)) <= 1e-13 * np.max(np.abs(B))
 
 
@@ -380,8 +387,8 @@ def test_central_background_is_skew_under_mass():
 def test_plain_upwind_pair_is_dual_on_cut_mesh(p):
     # the unstabilized downwind/upwind forms telescope to a dual pair
     space = make_space(p, [(2, 0.3, "left")])
-    Bp = assemble_background_mform(space, DOWNWIND)
-    Bm = assemble_background_mform(space, UPWIND)
+    Bp = assemble_background_mform(space, DOWNWIND).dense()
+    Bm = assemble_background_mform(space, UPWIND).dense()
     assert np.max(np.abs(Bp + Bm.T)) <= 1e-13 * np.max(np.abs(Bp))
 
 
@@ -419,11 +426,12 @@ def test_symmetrized_pair_duality_and_dissipation(p, alpha):
     space = make_space(p, [(2, alpha, "left")])
     ops = operator_pair(space, "mp")
     md = ops.mass_diag
-    dual = md[:, None] * ops.Dp_symm + (md[:, None] * ops.Dm_symm).T
-    scale = np.max(np.abs(md[:, None] * ops.Dz))
+    dp, dm = ops.Dp_symm.dense(), ops.Dm_symm.dense()
+    dual = md[:, None] * dp + (md[:, None] * dm).T
+    scale = np.max(np.abs(md[:, None] * ops.Dz.dense()))
     assert np.max(np.abs(dual)) <= 1e-13 * scale
     # M (D+ - D-) must be negative semidefinite
-    A = md[:, None] * (ops.Dp_symm - ops.Dm_symm)
+    A = md[:, None] * (dp - dm)
     eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
     assert eigs.max() <= 1e-13 * scale
 
@@ -432,13 +440,15 @@ def test_symmetrize_rejects_broken_input():
     space = make_space(1, [])
     md = mass_diagonal(space)
     bz, s = split_dissipation(space, {})
-    assert np.array_equal(s, s.T)
-    broken = bz + np.triu(np.ones_like(bz))
+    assert np.array_equal(s.dense(), s.dense().T)
+    # every block right of the diagonal block raised by one
+    broken = BlockBand(bz.blocks.copy())
+    broken.blocks[:, 3] += 1.0
     # the background pair is already dual: the symmetrized D^- is D^-
-    dm = assemble_background_mform(space, UPWIND) / md[:, None]
-    scale = np.max(np.abs(bz))
-    _, _, dm_symm = symmetrize_upwind_pair(bz, s.copy(), md)
-    assert np.max(np.abs(md[:, None] * (dm_symm - dm))) <= 1e-13 * scale
+    dm = assemble_background_mform(space, UPWIND).dense() / md[:, None]
+    scale = np.max(np.abs(bz.blocks))
+    _, _, dm_symm = symmetrize_upwind_pair(bz, BlockBand(s.blocks.copy()), md)
+    assert np.max(np.abs(md[:, None] * (dm_symm.dense() - dm))) <= 1e-13 * scale
     # a central part that is not skew under M breaks the duality
     with pytest.raises(RuntimeError, match="duality"):
         symmetrize_upwind_pair(broken, s, md)
@@ -447,35 +457,64 @@ def test_symmetrize_rejects_broken_input():
 def test_symmetrize_rejects_a_nan():
     space = make_space(1, [(2, 0.3, "left")])
     bz, s = split_dissipation(space, default_eta(space))
-    bz[3, 4] = np.nan  # a NaN residual compares false with the tolerance
+    # entry (3, 4) at p = 1: cell 1's node 1 and cell 2's node 0; a NaN
+    # residual compares false with the tolerance
+    bz.blocks[1, 3, 1, 0] = np.nan
     with pytest.raises(RuntimeError, match="duality"):
         symmetrize_upwind_pair(bz, s, mass_diagonal(space))
 
 
 def dense_sbp_residual(m, A, B):
+    """The SBP residual as n x n algebra: the oracle of sbp_residual."""
     return np.max(np.abs(m[:, None] * A + (m[:, None] * B).T))
 
 
-# one row block, one short of two, exactly two, one past two, and several
+def random_band(rng, cells, k):
+    return BlockBand(rng.standard_normal((cells, 5, k, k)))
+
+
+def as_band(A, k):
+    """The dense matrix A as a reach-2 band of k x k blocks, each block on
+    the first diagonal of its cyclic offset; A must fit such a band."""
+    cells = len(A) // k
+    blocks = np.zeros((cells, 5, k, k))
+    offsets = (np.arange(5) - 2) % cells
+    for i in range(cells):
+        for j in range(cells):
+            block = A[i * k:(i + 1) * k, j * k:(j + 1) * k]
+            d = np.flatnonzero(offsets == (j - i) % cells)
+            if len(d):
+                blocks[i, d[0]] = block
+            else:
+                assert not np.any(block), "A does not fit a reach-2 band"
+    return BlockBand(blocks)
+
+
+# n dofs in every split into cells of k <= 5 dofs: one cell (every
+# diagonal names the one block), a prime number of cells, and several
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
 def test_sbp_residual_equals_the_dense_residual(n):
     rng = np.random.default_rng(n)
-    m = rng.uniform(0.1, 3.0, n)
-    A, B = rng.standard_normal((2, n, n))
-    # each entry is m_i A_ij + m_j B_ji in both, so the maxima are equal;
-    # B = A is the periodic SBP (skew) residual
-    assert sbp_residual(m, A, B) == dense_sbp_residual(m, A, B)
-    assert sbp_residual(m, A, A) == dense_sbp_residual(m, A, A)
+    for k in (k for k in range(1, 6) if n % k == 0):
+        m = rng.uniform(0.1, 3.0, n)
+        a, b = random_band(rng, n // k, k), random_band(rng, n // k, k)
+        A, B = a.dense(), b.dense()
+        # each entry is m_i A_ij + m_j B_ji in both, so the maxima are
+        # equal; B = A is the periodic SBP (skew) residual
+        assert sbp_residual(m, a, b) == dense_sbp_residual(m, A, B)
+        assert sbp_residual(m, a, a) == dense_sbp_residual(m, A, A)
 
 
 @pytest.mark.parametrize("where", [(0, 0), (5, 37), (39, 2)])
 def test_sbp_residual_propagates_nan(where):
+    # 5 cells of 8 dofs: a reach-2 band holds every entry
     rng = np.random.default_rng(6)
     m = rng.uniform(0.1, 3.0, 40)
     A, B = rng.standard_normal((2, 40, 40))
     A[where] = np.nan
-    assert np.isnan(sbp_residual(m, A, B))
-    assert np.isnan(sbp_residual(m, B, A))
+    a, b = as_band(A, 8), as_band(B, 8)
+    assert np.isnan(sbp_residual(m, a, b))
+    assert np.isnan(sbp_residual(m, b, a))
 
 
 @pytest.mark.parametrize("pairing,rho_attr,gt_attr", [
@@ -488,7 +527,8 @@ def test_operator_pair_selection(pairing, rho_attr, gt_attr):
     ops = operator_pair(space, pairing)
     assert ops.d_rho is getattr(ops, rho_attr)
     assert ops.d_gt is getattr(ops, gt_attr)
-    assert np.array_equal(ops.d_diff, ops.Dp_symm - ops.Dm_symm)
+    assert np.array_equal(ops.d_diff.dense(),
+                          ops.Dp_symm.dense() - ops.Dm_symm.dense())
 
 
 def test_operator_pair_rejects_unknown_pairing():
@@ -498,6 +538,9 @@ def test_operator_pair_rejects_unknown_pairing():
 
 
 PAIR_MESHES = {
+    # five cells: the fewest a cut mesh has, and the fewest on which the
+    # +-2 block diagonals of a band are distinct
+    "5-cell": build_cut_cell_mesh(-np.pi, np.pi, 4, [(1, 0.3, "left")]),
     "single-cut": build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")]),
     "5-cut": build_cut_cell_mesh(-np.pi, np.pi, 16, evenly_spaced_cuts(
         16, (1e-7, 1e-3, 1e-1, 0.3, 0.49))),
@@ -514,11 +557,11 @@ def test_p0_symmetrized_pair_is_the_stabilized_pair(mesh, eta_c):
            else {c: eta_c for c in space.mesh.small_cells})
     ops = operator_pair(space, "mp", eta=eta)
     md = ops.mass_diag
-    scale = np.max(np.abs(md[:, None] * ops.Dz))
+    scale = np.max(np.abs(md[:, None] * ops.Dz.dense()))
     for got, kind in ((ops.Dp_symm, DOWNWIND), (ops.Dm_symm, UPWIND)):
         want = assemble_stabilized(
             space, kind, default_eta(space) if eta is None else eta)
-        assert np.max(np.abs(md[:, None] * (got - want))) <= 1e-13 * scale
+        assert np.max(np.abs(md[:, None] * (got.dense() - want.dense()))) <= 1e-13 * scale
     _, eig = check_upwind_sbp(md, ops.Dp_symm, ops.Dm_symm)
     assert eig <= 0.0
 
@@ -534,7 +577,7 @@ def test_central_operator_is_the_mean_of_upwind_and_downwind(mesh, p, eta_c):
     eta = (default_eta(space) if eta_c is None
            else {c: eta_c for c in space.mesh.small_cells})
     md = mass_diagonal(space)
-    dp, dm, dz = (assemble_stabilized(space, kind, eta)
+    dp, dm, dz = (assemble_stabilized(space, kind, eta).dense()
                   for kind in (DOWNWIND, UPWIND, CENTRAL))
     resid = np.max(np.abs(md[:, None] * (0.5 * (dm + dp) - dz)))
     assert resid <= PAIR_TOL * max(np.max(np.abs(md[:, None] * dz)), 1.0)
@@ -558,7 +601,7 @@ def test_operators_differentiate_polynomials_around_a_cut(p, alpha):
     # above the pair's
     tol = 1e-13 / alpha
     for D in (ops.Dz, ops.Dp_symm, ops.Dm_symm):
-        D = D[rows]
+        D = D.dense()[rows]
         for q in range(p + 1):
             exact = q * x[rows] ** (q - 1) if q else 0.0
             err = np.max(np.abs(D @ x**q - exact))
@@ -570,7 +613,8 @@ def dense_pair(space, eta):
     S = sym(M (D^- - Dz)), then Dz -/+ M^-1 (S + mu I). Returns
     (Dz, S, D^+, D^-), S without the ridge."""
     md = mass_diagonal(space)[:, None]
-    dz, dm = (assemble_stabilized(space, kind, eta) for kind in (CENTRAL, UPWIND))
+    dz, dm = (assemble_stabilized(space, kind, eta).dense()
+              for kind in (CENTRAL, UPWIND))
     s = md * (dm - dz)
     s = 0.5 * (s + s.T)
     bz = md * dz
@@ -594,7 +638,7 @@ def test_local_dissipation_matches_the_dense_one(mesh, p, eta_c):
     eta = pair_eta(space, eta_c)
     md = mass_diagonal(space)
     dz, want, _, _ = dense_pair(space, eta)
-    bz, s = split_dissipation(space, eta)
+    bz, s = (band.dense() for band in split_dissipation(space, eta))
     assert np.array_equal(s, s.T)
     assert np.array_equal(bz / md[:, None], dz)
     assert np.max(np.abs(s - want)) <= 1e-14 * np.max(np.abs(md[:, None] * dz))
@@ -608,25 +652,88 @@ def test_pair_formed_in_place_matches_the_dense_pair(mesh, p, eta_c):
     eta = pair_eta(space, eta_c)
     ops = operator_pair(space, "mp", eta=eta)
     dz, _, dp, dm = dense_pair(space, eta)
-    assert np.array_equal(ops.Dz, assemble_stabilized(space, CENTRAL, eta))
+    assert np.array_equal(ops.Dz.dense(),
+                          assemble_stabilized(space, CENTRAL, eta).dense())
     md = ops.mass_diag[:, None]
     scale = np.max(np.abs(md * dz))
     for got, want in ((ops.Dp_symm, dp), (ops.Dm_symm, dm)):
-        assert np.max(np.abs(md * (got - want))) <= 1e-14 * scale
+        assert np.max(np.abs(md * (got.dense() - want))) <= 1e-14 * scale
 
 
 def test_operator_pair_peak_memory():
-    # the pair is formed in S's and Bz's buffers: the three returned
-    # operators plus a row block of the duality check (3.30 n^2 doubles
-    # measured; the dense algebra it replaces peaked at 8.06)
+    # the operators are bands of 5 k n doubles (k = p + 1 dofs per cell):
+    # Dz, the pair, D^+ - D^- and the temporaries of the duality check peak
+    # at 8.5 bands (128 n doubles at p = 2, N = 128); the n x n assembly it
+    # replaces peaked at 3.3 n^2 doubles
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 128,
                                evenly_spaced_cuts(128, CONVERGENCE_CUTS))
     space = build_space(mesh, 2)
-    n = space.n_dofs
+    n, band = space.n_dofs, 5 * space.nodes_per_cell * space.n_dofs
     tracemalloc.start()
     try:
         operator_pair(space, "mp")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * n * n * 8, peak / (8 * n * n)
+    assert peak <= 20 * band * 8, peak / (8 * n)
+
+
+@pytest.mark.parametrize("cells, k", [(4, 1), (5, 2), (9, 3), (33, 2)])
+def test_band_products_equal_the_dense_products(cells, k):
+    rng = np.random.default_rng(cells)
+    a, b = random_band(rng, cells, k), random_band(rng, cells, k)
+    A, B = a.dense(), b.dense()
+    n = cells * k
+    assert a.shape == A.shape == (n, n)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+              rng.standard_normal((3, n)).T):
+        got = a @ x
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - A @ x)) <= 1e-14 * np.max(np.abs(A)) * n
+    # a band times a band reaches 4 cells: 9 diagonals, which alias on
+    # fewer than 9 cells
+    ab = a @ b
+    assert ab.reach == 4
+    assert np.max(np.abs(ab.dense() - A @ B)) <= 1e-14 * np.max(np.abs(A @ B)) * n
+
+
+@pytest.mark.parametrize("cells", [4, 5])
+def test_band_sums_the_local_blocks_that_alias(cells):
+    # local blocks of cells 0 and 2 on a 4-cell mesh: block (1, 3) lies on
+    # diagonal -2 of cell 0's block and +2 of cell 2's, one dense block.
+    # dense(), @ and sbp_residual must sum the two, as a dense scatter does;
+    # on 5 cells the +-2 diagonals are distinct
+    space = build_space(build_cut_cell_mesh(-np.pi, np.pi, cells), 1)
+    k, n = space.nodes_per_cell, space.n_dofs
+    rng = np.random.default_rng(cells)
+    band = assemble_background_mform(space, CENTRAL)
+    want = loop_background(space, CENTRAL)
+    for c in (0, 2):
+        block = rng.standard_normal((3 * k, 3 * k))
+        _add_local(band, c, block)
+        dofs = np.r_[tuple(space.dofs(j % cells) for j in (c - 1, c, c + 1))]
+        want[np.ix_(dofs, dofs)] += block
+    assert np.array_equal(band.dense(), want)
+    x = rng.standard_normal((n, 2))
+    assert np.max(np.abs(band @ x - want @ x)) <= 1e-14 * np.max(np.abs(want)) * n
+    m = mass_diagonal(space)
+    other = random_band(rng, len(band.blocks), k)
+    assert sbp_residual(m, band, other) == dense_sbp_residual(m, want, other.dense())
+    assert sbp_residual(m, band, band) == dense_sbp_residual(m, want, want)
+
+
+def test_flipping_one_small_cell_dissipation_fails_the_upwind_check():
+    # the mutant criterion 1 must catch: S_c enters S with its sign
+    # flipped. The pair stays dual, but M (D^+ - D^-) is no longer
+    # negative semidefinite (measured eigenvalue 1.8)
+    space = make_space(1, [(2, 0.3, "left")])
+    eta = default_eta(space)
+    (c,) = space.mesh.small_cells
+    bz, s = split_dissipation(space, eta)
+    diff = sum(form(space, c, UPWIND, eta[c]) - form(space, c, CENTRAL, eta[c])
+               for form in (assemble_dod_flux_mform, assemble_dod_volume_mform))
+    _add_local(s, c, -(diff + diff.T))  # S - 2 S_c
+    md = mass_diagonal(space)
+    _, dp, dm = symmetrize_upwind_pair(bz, s, md)
+    dual, eig = check_upwind_sbp(md, dp, dm)
+    assert dual <= DUALITY_TOL and eig > 1e3 * DISSIPATION_TOL

@@ -5,7 +5,7 @@ import pytest
 
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space
-from cutdg.operators import operator_pair
+from cutdg.operators import BlockBand, operator_pair
 from cutdg.sbp_verify import (
     SBPReport,
     check_energy_decay,
@@ -14,7 +14,7 @@ from cutdg.sbp_verify import (
     sbp_report,
 )
 
-from test_operators import check_p0_closed_form, p0_closed_form
+from test_operators import as_band, check_p0_closed_form, p0_closed_form
 
 
 def make_ops(p, alpha, pairing="mp"):
@@ -29,10 +29,11 @@ def test_periodic_sbp_residual_on_hand_built_matrices():
     # skew in the additive sense; build K skew-symmetric instead
     K = skew - skew.T
     D = K / m[:, None]
-    assert check_periodic_sbp(m, D) == 0.0
-    assert check_periodic_sbp(np.diag(m), D) == 0.0  # full matrix input
+    # three cells of one dof: a reach-2 band holds every entry
+    assert check_periodic_sbp(m, as_band(D, 1)) == 0.0
+    assert check_periodic_sbp(np.diag(m), as_band(D, 1)) == 0.0  # full matrix input
     D[0, 1] += 1e-3
-    assert check_periodic_sbp(m, D) == pytest.approx(1e-3)
+    assert check_periodic_sbp(m, as_band(D, 1)) == pytest.approx(1e-3)
 
 
 def test_upwind_sbp_residuals_on_hand_built_pair():
@@ -41,7 +42,7 @@ def test_upwind_sbp_residuals_on_hand_built_pair():
     A = rng.standard_normal((4, 4))
     Dp = A / m[:, None]
     Dm = -A.T / m[:, None]  # exact dual partner by construction
-    dual, eig = check_upwind_sbp(m, Dp, Dm)
+    dual, eig = check_upwind_sbp(m, as_band(Dp, 1), as_band(Dm, 1))
     assert dual <= 1e-15
     # dissipation eigenvalue equals lambda_max of sym(A + A^T) = 2 sym(A)
     want = np.linalg.eigvalsh(A + A.T)[-1]
@@ -83,7 +84,8 @@ def test_energy_decay_detects_antidissipative_dynamics():
     # flipping the pairing roles by negating the drift makes energy grow
     ops = make_ops(1, 0.3)
     flipped = type(ops)(**{**ops.__dict__, "Dp_symm": ops.Dm_symm,
-                           "Dm_symm": ops.Dp_symm})
+                           "Dm_symm": ops.Dp_symm,
+                           "d_diff": BlockBand(-ops.d_diff.blocks)})
     worst = check_energy_decay(flipped, 1.0, trials=50)
     assert worst > 1e-3
 
@@ -97,7 +99,7 @@ def loop_energy_decay(opset, eps, trials, rng_seed):
     for _ in range(trials):
         rho = rng.standard_normal(len(m))
         gt = rng.standard_normal(len(m))
-        rho_dot = -d_rho @ gt
+        rho_dot = -(d_rho @ gt)
         gt_dot = -(d_gt @ rho + gt) / eps**2 + (d_diff @ gt) / (2.0 * eps)
         deriv = 2.0 * rho @ (m * rho_dot) + 2.0 * eps**2 * gt @ (m * gt_dot)
         en = rho @ (m * rho) + eps**2 * gt @ (m * gt)
@@ -129,15 +131,18 @@ def test_sbp_report_rejects_zero_trials():
 
 
 def test_structure_checks_peak_memory():
-    # the skew and duality residuals are scanned 32 rows at a time; only
-    # the dissipation eigenvalue forms n x n arrays, sym(M (D+ - D-)) and
-    # eigvalsh's copy of it (dense residuals peaked at 3.0 n^2 doubles)
+    # the skew and duality residuals are formed on the bands' blocks: the
+    # skew check peaks at 5 bands of 5 k n doubles (76 n doubles at p = 2;
+    # 0.29 n^2 before bands). Only the dissipation eigenvalue forms n x n
+    # arrays, sym(M (D+ - D-)) and eigvalsh's copy of it (1.09 n^2 doubles
+    # for the report; dense residuals peaked at 3.0 n^2)
     cuts = evenly_spaced_cuts(128, (1e-7, 1e-3, 1e-1, 0.3, 0.49))
     ops = operator_pair(build_space(
         build_cut_cell_mesh(-np.pi, np.pi, 128, cuts), 2), "mp")
     n = len(ops.mass_diag)
+    band = 5 * ops.space.nodes_per_cell * n
     for check, bound in (
-            (lambda: check_periodic_sbp(ops.mass_diag, ops.Dz), 0.5),
+            (lambda: check_periodic_sbp(ops.mass_diag, ops.Dz), 12 * band / n**2),
             (lambda: sbp_report(ops, trials=20), 2.5)):
         tracemalloc.start()
         try:

@@ -30,9 +30,9 @@ def full_matrix(system):
     n = system.d_rho.shape[0]
     e2 = system.eps**2
     A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = -system.d_rho
-    A[n:, :n] = -system.d_gt / e2
-    A[n:, n:] = system.d_diff / (2.0 * system.eps) - np.eye(n) / e2
+    A[:n, n:] = -system.d_rho.dense()
+    A[n:, :n] = -system.d_gt.dense() / e2
+    A[n:, n:] = system.d_diff.dense() / (2.0 * system.eps) - np.eye(n) / e2
     return A
 
 
@@ -299,7 +299,7 @@ def test_explicit_limit_step_on_heat_operator_decays():
 def test_implicit_midpoint_heat_step_solves_the_midpoint_system():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(2, 0.3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
-    L = heat_system(ops)
+    L = heat_system(ops).dense()
     rng = np.random.default_rng(8)
     n = L.shape[0]
     u = rng.standard_normal(n)
@@ -315,7 +315,7 @@ def test_implicit_midpoint_heat_step_solves_the_midpoint_system():
 def test_implicit_midpoint_is_contractive_in_mass_norm():
     mesh = build_cut_cell_mesh(-np.pi, np.pi, 8, [(3, 1e-3, "left")])
     ops = operator_pair(build_space(mesh, 1), "mp")
-    L = heat_system(ops)
+    L = heat_system(ops).dense()
     dt = 0.1
     n = L.shape[0]
     step = np.linalg.solve(np.eye(n) - 0.5 * dt * L, np.eye(n) + 0.5 * dt * L)
