@@ -31,6 +31,7 @@ from .operators import (
     PAIRINGS,
 )
 from .sbp_verify import (
+    DissipationCertificate,
     SBPReport,
     check_periodic_sbp,
     check_upwind_sbp,

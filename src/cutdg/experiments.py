@@ -43,7 +43,7 @@ product with the squared power S^HEAT_BLOCK of its step matrix S.
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -721,13 +721,22 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
                    alphas=(1e-7, 1e-3, 0.3, 0.49), epsilon=1.0,
                    seed=0) -> ResultTable:
     """Structure residuals over a (p, alpha, eta, pairing) grid; seed seeds
-    the random states of the sampled energy check."""
+    the random states of the sampled energy check.
+
+    max_dissipation_eigenvalue is the certified bound of
+    sbp_verify.check_upwind_sbp; metadata["dissipation"] holds one record
+    per row: its p, alpha, eta and pairing and the fields of the
+    certificate (sbp_verify.DissipationCertificate): the bound, the cells
+    of each window, lambda_min(P_W) / max|P_W| per window, the Gershgorin
+    bound and the pad.
+    """
     table = ResultTable(
         columns=("p", "alpha", "eta", "pairing", "skew_residual",
                  "duality_residual", "max_dissipation_eigenvalue",
                  "energy_derivative_bound", "passed"),
         metadata=_metadata(locals()),
     )
+    table.metadata["dissipation"] = []
     for p in degrees:
         for alpha in alphas:
             space = _case_space(cells, p, (alpha,))
@@ -749,4 +758,7 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
                         energy_derivative_bound=rep.energy_derivative_bound,
                         passed=rep.passed,
                     )
+                    table.metadata["dissipation"].append(dict(
+                        p=p, alpha=alpha, eta=eta_val, pairing=pairing,
+                        **asdict(rep.dissipation)))
     return table

@@ -15,10 +15,10 @@ a product of two bands is a band of the summed reach (D^rho D^gt reaches
 4 cells). A band multiplies states by gathering each cell's window of
 neighbor cells, and forms its n x n matrix only in dense(), which the
 package calls only where a dense algorithm needs the matrix: the
-dissipation eigenvalue of sbp_verify, the condition study's eigensolve or
-SVD, and the implicit-heat step. On a mesh of fewer cells than a band has
-diagonals, two diagonals name the same block, and dense(), @ and
-sbp_residual sum them.
+condition study's eigensolve or SVD, and the implicit-heat step. The
+structure checks of sbp_verify read the blocks. On a mesh of fewer cells
+than a band has diagonals, two diagonals name the same block, and
+dense(), @ and sbp_residual sum them.
 
 The background blocks are the same at every interface and cell, so the
 background form is three broadcast block diagonals, with no loop over
@@ -382,6 +382,18 @@ def assemble_stabilized(space, kind, eta, volume_weights=(0.5, 0.5)):
     return B
 
 
+def interface_dissipation(space):
+    """The four k x k blocks (rr, rl, lr, ll) that each interface adds to
+    the background dissipation S, in _interface_blocks' order: the
+    rank-one term 1/2 j j^T of the trace jump j = (r, -l), r the right
+    trace of the cell on the interface's left and l the left trace of the
+    cell on its right. They are the difference of the upwind and central
+    interface blocks, flux coefficients (1/2, -1/2); each entry is a product
+    of two traces halved, so the term is exactly symmetric."""
+    (ha_up, hb_up), (ha_z, hb_z) = _flux_coeffs(UPWIND), _flux_coeffs(CENTRAL)
+    return _interface_blocks(space, ha_up - ha_z, hb_up - hb_z)
+
+
 def split_dissipation(space, eta):
     """Split the stabilized upwind m-form M D^- into Bz + S (L_c = R_c = 1/2).
 
@@ -392,10 +404,10 @@ def split_dissipation(space, eta):
     symmetric dissipation, built from its local pieces:
 
     - the background part. The background upwind and central forms share
-      their volume block, and their interface blocks differ by the flux
-      coefficients (1/2, -1/2): 1/2 (r r^T + l l^T) on the diagonal, and
-      -1/2 r l^T and -1/2 l r^T off it. Each entry is a product of two
-      traces halved, so this block-circulant part is exactly symmetric;
+      their volume block, and their interface blocks differ by
+      interface_dissipation: 1/2 (r r^T + l l^T) on the diagonal, and
+      -1/2 r l^T and -1/2 l r^T off it, a block-circulant part that is
+      exactly symmetric;
     - per small cell, sym(upwind - central) of its flux plus volume
       blocks, added at the blocks of cells (c-1, c, c+1).
 
@@ -404,8 +416,7 @@ def split_dissipation(space, eta):
     """
     _check_eta(space, eta)
     bz = assemble_background_mform(space, CENTRAL)
-    (ha_up, hb_up), (ha_z, hb_z) = _flux_coeffs(UPWIND), _flux_coeffs(CENTRAL)
-    rr, rl, lr, ll = _interface_blocks(space, ha_up - ha_z, hb_up - hb_z)
+    rr, rl, lr, ll = interface_dissipation(space)
     s = _circulant_band(space, rr + ll, rr + ll, rl, lr)
     for c in space.mesh.small_cells:
         flux = assemble_dod_flux_mform(space, c, CENTRAL, eta[c])
@@ -438,12 +449,14 @@ def sbp_residual(mass_diag, a, b):
     return float(np.max(np.abs(_mform_sum(mass_diag, a, b))))
 
 
-def dissipation_matrix(mass_diag, dp, dm):
-    """sym(M (D^+ - D^-)) of the bands D^+ and D^- as an n x n matrix, for
-    a dense eigensolver; formed on the blocks, each entry as the n x n
-    algebra forms it, and densified once."""
+def dissipation_blocks(mass_diag, dp, dm):
+    """Blocks of -1/2 sym(M (D^+ - D^-)) for the bands D^+ and D^-, in the
+    layout of _mform_sum. It is S plus the ridge for a pair that
+    symmetrize_upwind_pair formed, as the stored pair gives it back: each
+    entry is -1/4 (m_i A_ij + m_j A_ji) for A = D^+ - D^-, the n x n entry
+    of sym(M A) scaled exactly by -1/2, and it is exactly symmetric."""
     diff = BlockBand(dp.blocks - dm.blocks)
-    return BlockBand(0.5 * _mform_sum(mass_diag, diff, diff)).dense()
+    return -0.25 * _mform_sum(mass_diag, diff, diff)
 
 
 def symmetrize_upwind_pair(bz, s, mass_diag):

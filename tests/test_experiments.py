@@ -886,6 +886,22 @@ def test_run_sbp_report_grid():
     assert all(r["passed"] for r in table.rows)
 
 
+def test_run_sbp_report_records_each_dissipation_certificate():
+    table = run_sbp_report(degrees=(0, 1), cells=8, alphas=(1e-3, 0.3))
+    records = json.loads(json.dumps(table.metadata))["dissipation"]
+    key = ("p", "alpha", "eta", "pairing")
+    assert ([[r[k] for k in key] for r in records]
+            == [[r[k] for k in key] for r in table.rows])
+    for rec, row in zip(records, table.rows):
+        assert rec["bound"] == row["max_dissipation_eigenvalue"]
+        # the one cut makes cell 0 of 9 small: its window wraps past cell 0
+        assert rec["windows"] == [[8, 0, 1]]
+        assert len(rec["window_min_eigs"]) == 1
+        assert rec["window_min_eigs"][0] >= -1e-14
+        assert 0.0 < rec["pad"] < 1e-14
+        assert rec["bound"] >= -2.0 * (rec["gershgorin"] - rec["pad"])
+
+
 def test_run_sbp_report_rejects_a_cut_without_a_small_cell():
     with pytest.raises(ValueError,
                        match="alpha=0.5: the cut makes no small cell"):

@@ -7,8 +7,10 @@ Polynomial.integ, and evaluates traces and extensions by direct polynomial
 evaluation. The oracle shares no code with the barycentric assembly path.
 At degree 0 with a single cut, p0_closed_form writes the stabilized pair
 out entry by entry, a second reference (criterion 2). The operators are
-bands; the tests compare their dense() matrices, and dense_sbp_residual
-is the n x n oracle of the banded SBP residual.
+bands; the tests compare their dense() matrices, dense_sbp_residual is
+the n x n oracle of the banded SBP residual, and dense_dissipation_eig the
+dense eigensolve that check_upwind_sbp's certified bound must not
+undercut.
 """
 
 import tracemalloc
@@ -469,6 +471,13 @@ def dense_sbp_residual(m, A, B):
     return np.max(np.abs(m[:, None] * A + (m[:, None] * B).T))
 
 
+def dense_dissipation_eig(m, dp, dm):
+    """lambda_max of sym(M (D^+ - D^-)) by a dense eigvalsh of the n x n
+    matrix: the oracle of check_upwind_sbp's certified bound."""
+    A = m[:, None] * (dp.dense() - dm.dense())
+    return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+
+
 def random_band(rng, cells, k):
     return BlockBand(rng.standard_normal((cells, 5, k, k)))
 
@@ -562,8 +571,7 @@ def test_p0_symmetrized_pair_is_the_stabilized_pair(mesh, eta_c):
         want = assemble_stabilized(
             space, kind, default_eta(space) if eta is None else eta)
         assert np.max(np.abs(md[:, None] * (got.dense() - want.dense()))) <= 1e-13 * scale
-    _, eig = check_upwind_sbp(md, ops.Dp_symm, ops.Dm_symm)
-    assert eig <= 0.0
+    assert dense_dissipation_eig(md, ops.Dp_symm, ops.Dm_symm) <= 0.0
 
 
 @pytest.mark.parametrize("mesh", PAIR_MESHES, ids=list(PAIR_MESHES))
@@ -725,7 +733,9 @@ def test_band_sums_the_local_blocks_that_alias(cells):
 def test_flipping_one_small_cell_dissipation_fails_the_upwind_check():
     # the mutant criterion 1 must catch: S_c enters S with its sign
     # flipped. The pair stays dual, but M (D^+ - D^-) is no longer
-    # negative semidefinite (measured eigenvalue 1.8)
+    # negative semidefinite (measured eigenvalue 1.8). The certified bound,
+    # which is at least that eigenvalue, fails too, in the small cell's
+    # window
     space = make_space(1, [(2, 0.3, "left")])
     eta = default_eta(space)
     (c,) = space.mesh.small_cells
@@ -735,5 +745,7 @@ def test_flipping_one_small_cell_dissipation_fails_the_upwind_check():
     _add_local(s, c, -(diff + diff.T))  # S - 2 S_c
     md = mass_diagonal(space)
     _, dp, dm = symmetrize_upwind_pair(bz, s, md)
-    dual, eig = check_upwind_sbp(md, dp, dm)
+    eig = dense_dissipation_eig(md, dp, dm)
+    dual, cert = check_upwind_sbp(space, md, dp, dm)
     assert dual <= DUALITY_TOL and eig > 1e3 * DISSIPATION_TOL
+    assert cert.bound >= eig and cert.window_min_eigs[0] < 0.0
