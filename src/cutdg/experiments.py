@@ -20,11 +20,10 @@ the implicit-heat study's solves, which densify the band product
 L = D^rho D^gt once per variant. All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
 once, by one batched stepper call (linear_step_matrix). A telegraph or
-explicit-heat step couples only cells at most its reach R apart, a reach
-read from the nonzero block diagonals of the assembled operators and the
-tableau (_telegraph_band, _heat_band), so the stepper runs on probe
-columns, each the sum of identity columns whose cells lie at least
-2R + 1 apart, and every entry
+explicit-heat step couples only cells at most its reach R apart, the
+largest cell distance in its exact cell pattern (_telegraph_band,
+_heat_band), so the stepper runs on probe columns, each the sum of
+identity columns whose cells lie at least 2R + 1 apart, and every entry
 of the matrix is still the stepper's own output. Where fewer than two
 such runs of cells fit, and for the implicit-heat step, whose matrix is
 dense, the stepper runs on the identity columns.
@@ -174,16 +173,28 @@ class StepBand(NamedTuple):
     reach: int
 
 
-def _cell_reach(*operators):
-    """Largest cyclic cell distance between the row and column cells of a
-    block diagonal holding a nonzero entry, over the bands given."""
-    reach = 0
-    for A in operators:
-        cells = len(A.blocks)
-        nonzero = np.flatnonzero(np.any(A.blocks != 0, axis=(0, 2, 3)))
-        d = (nonzero - A.reach) % cells
-        reach = max(reach, int(np.max(np.minimum(d, cells - d), initial=0)))
-    return reach
+def _cell_pattern(A):
+    """Cells x cells 0/1 matrix of the band A: 1 at (i, j) when a block of
+    row cell i and column cell j is nonzero (aliased diagonals OR'd)."""
+    cells = len(A.blocks)
+    rows, d = np.nonzero(np.any(A.blocks != 0, axis=(2, 3)))
+    pattern = np.zeros((cells, cells))
+    pattern[rows, (rows + d - A.reach) % cells] = 1.0
+    return pattern
+
+
+def _union(*patterns):
+    """OR of 0/1 matrices and of their float products, exact path counts."""
+    return np.minimum(sum(patterns), 1.0)
+
+
+def _pattern_band(fields, ops, pattern):
+    """StepBand of a step of cell pattern `pattern` on `fields` fields: its
+    reach is the largest cyclic cell distance of a 1 in the pattern."""
+    cells = len(pattern)
+    d = np.subtract.outer(np.arange(cells), np.arange(cells)) % cells
+    return StepBand(fields, cells, ops.space.nodes_per_cell,
+                    int(np.max(np.minimum(d, cells - d) * pattern)))
 
 
 def _stepper_for(tab):
@@ -192,32 +203,35 @@ def _stepper_for(tab):
     return stable_ars_step if tab.classification == "ARS" else imex_step
 
 
-# The reach of one step is the cell reach r of D^rho, D^gt, D^+ and D^-
-# (which covers D^+ - D^-) times the operator applications on the longest
-# path from the old state to the new one:
-# - stable_ars_step, 2(s - 1). Its first ARS stage is explicit, the old
-#   state itself. Stage k takes rho_k from D^rho on the earlier gt stages
-#   and gt_k from D^gt on rho_k, so gt_k lies 2(k - 1) applications from
-#   the old state and rho_k 2k - 3, and the update is stage s.
-# - imex_step, 2s. Its first stage is implicit already: gt_1 needs
-#   D^gt rho_1. So stage k's rho lies 2(k - 1) and its gt 2k - 1
-#   applications away, and the weight sum applies D^rho and D^+ - D^- once
-#   more to the last gt.
-# - explicit_limit_step, s applications of L = D^rho D^gt, one per stage,
-#   with r read from L itself.
 def _telegraph_band(ops, tab):
-    """StepBand of one telegraph step of _stepper_for(tab) on (rho, gt)."""
-    nodes = ops.space.nodes_per_cell
-    s = tab.s
-    applications = 2 * (s - 1) if _stepper_for(tab) is stable_ars_step else 2 * s
-    r = _cell_reach(ops.d_rho, ops.d_gt, ops.Dp_symm, ops.Dm_symm)
-    return StepBand(2, ops.space.mesh.n_cells, nodes, applications * r)
+    """StepBand of one telegraph step of _stepper_for(tab) on (rho, gt):
+    rho and gt are the cell patterns of each field's stages. A stage sets
+    rho from the old state and D^rho on the earlier gt stages, then gt
+    from the earlier gt stages, D^+ - D^- on them and D^gt on the rho
+    stages, its own included. imex_step's first stage is implicit already,
+    and its weight sum applies D^gt to the stage rho's only. The patterns
+    only grow, so the last ones cover every stage."""
+    p_rho, p_gt, p_diff = map(_cell_pattern, (ops.d_rho, ops.d_gt, ops.d_diff))
+    rho = gt = one = np.eye(len(p_rho))
+    implicit_first = _stepper_for(tab) is imex_step
+    if implicit_first:
+        gt = _union(gt, p_gt)
+    for _ in range(tab.s - 1):
+        rho = _union(one, p_rho @ gt)
+        gt = _union(gt, p_diff @ gt, p_gt @ rho)
+    if implicit_first:
+        rho, gt = _union(one, p_rho @ gt), _union(gt, p_diff @ gt, p_gt @ rho)
+    return _pattern_band(2, ops, _union(rho, gt))
 
 
 def _heat_band(ops, L, tab):
-    """StepBand of one explicit_limit_step of L = heat_system(ops)."""
-    return StepBand(1, ops.space.mesh.n_cells, ops.space.nodes_per_cell,
-                    tab.s * _cell_reach(L))
+    """StepBand of one explicit_limit_step of L = heat_system(ops): each
+    stage up to the last one the output weighs applies L once more."""
+    p_l = _cell_pattern(L)
+    pattern = np.eye(len(p_l))
+    for _ in range(np.flatnonzero(tab.b_expl)[-1] + 1):
+        pattern = _union(pattern, p_l @ pattern)
+    return _pattern_band(1, ops, pattern)
 
 
 def _telegraph_action(system, tab):
@@ -267,8 +281,11 @@ def linear_step_matrix(apply_step, n, band=None):
     probe column is the sum of its identity columns. A column's nonzeros lie
     within reach cells of its own cell, where no other column of its probe
     reaches. So each column is gathered from its probe's output, and every
-    entry more than reach cells away is set to zero by assignment, which
-    keeps a non-finite entry of one column out of the others. When the
+    entry more than reach cells away is set to zero by assignment. The
+    reach is that of the step's nonzero blocks, so a band's window may
+    read a probe-mate's entries, but only through stored zero blocks: a
+    finite entry of S is unchanged, and a non-finite step still leaves S
+    non-finite, so propagate still raises FloatingPointError. When the
     cells hold fewer than two runs of 2 reach + 1 cells, the probes are the
     identity columns and the gather is the identity.
     """

@@ -4,6 +4,8 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +322,30 @@ def test_integrate_telegraph_matches_matrix_power():
                                rtol=1e-12, atol=0)
 
 
+def test_propagate_peak_memory_is_the_squaring_floor():
+    # N = 128, p = 2, ARS443, eps = 1e-3, the convergence study's largest
+    # case (n = 798): every squaring holds two n x n powers, 2 n^2 doubles,
+    # and the build of S on 84 probe columns stays below that. Measured
+    # 2.00 n^2; on the 204 columns of the old bound R = 16 the build
+    # peaked at 2.56 n^2
+    space, ops = experiments._build_case(128, 2, experiments.CONVERGENCE_ALPHAS,
+                                         "mp")
+    tab = builtin_tableau("ARS443")
+    band = experiments._telegraph_band(ops, tab)
+    apply_step = experiments._telegraph_action(telegraph_system(ops, 1e-3), tab)
+    state = np.random.default_rng(0).standard_normal(2 * space.n_dofs)
+    dt = experiments.C_PRE[2] / 5 * 1e-3 * space.mesh.background_dx
+    n = len(state)
+    assert experiments._step_columns(band) == 84
+    tracemalloc.start()
+    try:
+        propagate(apply_step, state, 1.0, dt, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * n * n * 8, peak / (8 * n * n)
+
+
 def test_linear_step_matrix_is_the_identity_image():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(linear_step_matrix(lambda u: A @ u, 2), A)
@@ -333,6 +359,78 @@ def _cell_distance_reached(S, band):
     return int(np.minimum(d, c - d).max())
 
 
+def _steps(ops):
+    """(tableau, batched action, tableau -> StepBand) of the ARS443 and
+    SSP2-332 telegraph steps at eps = 0.1 and of the explicit heat steps
+    of both tableaux."""
+    system, L = telegraph_system(ops, 0.1), heat_system(ops)
+    steps = []
+    for name in ("ARS443", "SSP2-332"):
+        tab = builtin_tableau(name)
+        steps.append((tab, experiments._telegraph_action(system, tab),
+                      lambda t: experiments._telegraph_band(ops, t)))
+        steps.append((tab, lambda u, h, tab=tab: explicit_limit_step(L, tab, u, h),
+                      lambda t: experiments._heat_band(ops, L, t)))
+    return steps
+
+
+def _one_stage_fewer(tab, weighted):
+    """tab without its last stage or, with weighted, without its last
+    stage of nonzero explicit weight: ARS443's last explicit weight is 0,
+    so its explicit heat step never reads its last stage."""
+    s = np.flatnonzero(tab.b_expl)[-1] if weighted else tab.s - 1
+    return replace(tab, a_expl=tab.a_expl[:s, :s], a_impl=tab.a_impl[:s, :s],
+                   b_expl=tab.b_expl[:s], b_impl=tab.b_impl[:s])
+
+
+@pytest.mark.parametrize("n_bg", [16, 32, 64])
+@pytest.mark.parametrize("pairing", ["mp", "pm", "central"])
+def test_pattern_reach_is_the_reach_of_the_identity_build(pairing, n_bg):
+    # sound: no entry of S lies farther out than the pattern reach. Tight
+    # from N = 32 on: the reach of S's nonzeros is the pattern reach, for
+    # the ARS443 step of the convergence study (mp, DoD) 5 at p = 0 and 6
+    # at p >= 1, where on the 21 cells of N = 16 it reads 6 and 8. With
+    # teeth: the recursion run on one stage fewer misses entries of S in
+    # every case
+    ars_reach = {(16, 0): 6, (16, 1): 8, (16, 2): 8}
+    for variant in experiments.VARIANTS:
+        for p in (0, 1, 2):
+            space, ops = experiments._build_case(
+                n_bg, p, experiments.CONVERGENCE_ALPHAS, pairing, variant)
+            for tab, apply_step, band_of in _steps(ops):
+                band = band_of(tab)
+                n = band.fields * band.cells * band.nodes
+                reached = _cell_distance_reached(
+                    linear_step_matrix(lambda u: apply_step(u, 0.05), n), band)
+                case = (variant, p, tab.name, band.fields)
+                assert reached <= band.reach, case
+                if n_bg >= 32:
+                    assert reached == band.reach, case
+                fewer = band_of(_one_stage_fewer(tab, band.fields == 1))
+                assert fewer.reach < reached, case
+                if (pairing, variant, tab.name, band.fields) == (
+                        "mp", "dod", "ARS443", 2):
+                    assert band.reach == ars_reach.get((n_bg, p), min(p, 1) + 5)
+
+
+def test_pattern_reach_follows_the_drift_operator():
+    # on the assembled pairs D^+ - D^- couples no cell pair that D^gt D^rho
+    # does not, so only an operator set with a wider drift, here a random
+    # band of reach 3, shows that the recursion follows it too
+    space, ops = experiments._build_case(64, 1, (0.3,), "mp")
+    k = space.nodes_per_cell
+    drift = 0.1 * np.random.default_rng(0).standard_normal(
+        (space.mesh.n_cells, 7, k, k))
+    ops = replace(ops, d_diff=BlockBand(drift))
+    system = telegraph_system(ops, 0.1)
+    for name in ("ARS443", "SSP2-332"):
+        tab = builtin_tableau(name)
+        band = experiments._telegraph_band(ops, tab)
+        apply_step = experiments._telegraph_action(system, tab)
+        S = linear_step_matrix(lambda u: apply_step(u, 0.05), 2 * space.n_dofs)
+        assert _cell_distance_reached(S, band) == band.reach > 6, name
+
+
 @pytest.mark.parametrize("variant", experiments.VARIANTS)
 @pytest.mark.parametrize("pairing", ["mp", "pm", "central"])
 def test_band_build_equals_identity_build(pairing, variant):
@@ -342,15 +440,8 @@ def test_band_build_equals_identity_build(pairing, variant):
     space, ops = experiments._build_case(64, 1, experiments.CONVERGENCE_ALPHAS,
                                          pairing, variant)
     dt = 0.05
-    system = telegraph_system(ops, 0.1)
-    L = heat_system(ops)
-    ars = builtin_tableau("ARS443")
-    cases = [(experiments._telegraph_action(system, tab),
-              experiments._telegraph_band(ops, tab))
-             for tab in (ars, builtin_tableau("SSP2-332"))]
-    cases.append((lambda u, h: explicit_limit_step(L, ars, u, h),
-                   experiments._heat_band(ops, L, ars)))
-    for apply_step, band in cases:
+    for tab, apply_step, band_of in _steps(ops):
+        band = band_of(tab)
         n = band.fields * band.cells * band.nodes
         assert experiments._step_columns(band) < n  # the probe path
 
@@ -365,20 +456,28 @@ def test_band_build_equals_identity_build(pairing, variant):
 
 @pytest.mark.parametrize("cells", [16, 32])
 def test_band_build_with_fewer_than_two_runs_is_the_identity_build(cells):
-    # N + 5 = 21 and 37 cells hold fewer than two runs of 2R + 1 = 33 cells
+    # the ARS443 step at p = 1: N + 5 = 21 cells hold fewer than two runs
+    # of 2R + 1 = 17 cells (R = 8), so the stepper runs on the identity
+    # columns; at N = 32, R = 6 and 37 cells hold two runs of 13, the
+    # first probed mesh of the convergence sweep: 2 fields * 19 positions
+    # * 2 nodes = 76 columns
     space, ops = experiments._build_case(cells, 1,
                                          experiments.CONVERGENCE_ALPHAS, "mp")
     tab = builtin_tableau("ARS443")
     apply_step = experiments._telegraph_action(telegraph_system(ops, 0.1), tab)
     band = experiments._telegraph_band(ops, tab)
     n = 2 * space.n_dofs
-    assert band.reach == 16 and experiments._step_columns(band) == n
+    assert (band.reach, experiments._step_columns(band)) == (
+        (8, n) if cells == 16 else (6, 76))
 
     def step(u):
         return apply_step(u, 1e-3)
 
-    assert np.array_equal(linear_step_matrix(step, n, band),
-                          linear_step_matrix(step, n))
+    got, want = linear_step_matrix(step, n, band), linear_step_matrix(step, n)
+    if cells == 16:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("variant, tableau, r", [
@@ -386,13 +485,19 @@ def test_band_build_with_fewer_than_two_runs_is_the_identity_build(cells):
     ("unstabilized", "ARS443", 1), ("background", "SSP2-332", 1)])
 def test_telegraph_reach_is_the_operator_reach_times_the_applications(
         variant, tableau, r):
-    # the DoD flux couples cell c - 1 with c + 1; ARS443 applies an
-    # operator 2(s - 1) = 8 times on its longest path, SSP2-332 2s = 6 times
+    # the DoD flux couples cell c - 1 with c + 1, so the operators reach
+    # r = 2 cells beside the small cell and 1 elsewhere. ARS443 applies an
+    # operator 2(s - 1) = 8 times on its longest path, SSP2-332 2s = 6
+    # times, which bounds the reach by 16 and 12. The cell pattern reaches
+    # less: D^rho and D^gt are one-sided, so each stage adds one cell on a
+    # uniform mesh (4 stages either way) and the small cell two more
     _, ops = experiments._build_case(16, 1, (0.3,), "mp", variant)
     tab = builtin_tableau(tableau)
     applications = {"ARS443": 8, "SSP2-332": 6}[tableau]
-    assert experiments._telegraph_band(ops, tab) == experiments.StepBand(
-        2, 16 + (variant != "background"), 2, r * applications)
+    band = experiments._telegraph_band(ops, tab)
+    assert band == experiments.StepBand(
+        2, 16 + (variant != "background"), 2, 6 if variant == "dod" else 4)
+    assert band.reach <= r * applications
 
 
 def test_build_case_variants():
@@ -467,16 +572,19 @@ def test_run_convergence_records_steps_per_case():
         n = 2 * (row["n_background"] + len(SMALL["alphas"])) * (row["p"] + 1)
         assert (rec["squarings"], rec["products"]) == (
             experiments._power_plan(n_full, n))
-        # ARS443 applies the DoD operators, of cell reach 2, 2(s - 1) = 8
-        # times per step; N + 1 <= 33 cells hold no two runs of 2R + 1 = 33,
-        # so the stepper runs on the 2n identity columns
-        assert (rec["reach"], rec["step_columns"]) == (16, n)
+        # the ARS443 step reaches R = 6 cells beside the small cell: the
+        # 17 cells of N = 16 hold no two runs of 2R + 1 = 13, so the stepper
+        # runs on the 2n identity columns, and the 33 of N = 32 hold two
+        # runs of 17 and 16: 2 fields * 17 positions * 2 nodes = 68
+        assert (rec["reach"], rec["step_columns"]) == (
+            6, n if row["n_background"] == 16 else 68)
     json.dumps(table.metadata)  # the records serialize with the table
 
 
 def test_step_records_name_the_columns_the_stepper_ran_on(monkeypatch):
-    # N = 64 with five cuts: 69 cells split into two runs of 35 and 34, so
-    # the stepper runs on 2 fields * 35 positions * 2 nodes = 140 columns
+    # N = 64 with five cuts: the step reaches R = 6 cells, and 69 cells
+    # split into five runs of 2R + 1 = 13 or more, the longest 14, so the
+    # stepper runs on 2 fields * 14 positions * 2 nodes = 56 columns
     seen = []
     build = experiments.linear_step_matrix
 
@@ -494,7 +602,7 @@ def test_step_records_name_the_columns_the_stepper_ran_on(monkeypatch):
     ((n, columns, band),) = seen
     assert n == 2 * 69 * 2
     assert (rec["reach"], rec["step_columns"]) == (band.reach, columns)
-    assert (rec["reach"], rec["step_columns"]) == (16, 140)
+    assert (rec["reach"], rec["step_columns"]) == (6, 56)
 
 
 def _count_calls(monkeypatch, name):
@@ -562,8 +670,9 @@ def test_run_asymptotic_records_steps_per_case():
         n = 2 * 17 * (rec["p"] + 1)
         assert (rec["squarings"], rec["products"]) == experiments._power_plan(
             _step_count(t_final, rec["dt"])[0], n)
-        # 17 cells hold no two runs of 2R + 1 = 33 cells
-        assert (rec["reach"], rec["step_columns"]) == (16, n)
+        # the ARS443 step reaches R = 5 cells at p = 0 and 6 at p = 1, and
+        # 17 cells hold no two runs of 2R + 1 = 11 or 13 cells
+        assert (rec["reach"], rec["step_columns"]) == (5 + rec["p"], n)
 
 
 def test_run_convergence_rejects_epsilon_zero():

@@ -230,11 +230,12 @@ def loop_energy_decay(opset, eps, trials, rng_seed):
 @pytest.mark.parametrize("alpha", [1e-7, 0.3])
 @pytest.mark.parametrize("eps", [1.0, 1e-3])
 def test_energy_decay_matches_the_trial_loop(p, alpha, eps):
-    # matrix products round differently from matrix-vector products
+    # matrix products round differently from matrix-vector products; 45
+    # trials take two full blocks of 20 and a partial one
     ops = make_ops(p, alpha)
-    for seed in (0, 7):
-        got = check_energy_decay(ops, eps, trials=20, rng_seed=seed)
-        want = loop_energy_decay(ops, eps, trials=20, rng_seed=seed)
+    for seed, trials in ((0, 20), (7, 20), (7, 45)):
+        got = check_energy_decay(ops, eps, trials=trials, rng_seed=seed)
+        want = loop_energy_decay(ops, eps, trials=trials, rng_seed=seed)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -253,8 +254,11 @@ def test_structure_checks_peak_memory():
     # every check works on the bands' blocks, bands of 5 k n doubles (k =
     # p + 1), so the peaks are linear in n. Measured at p = 2, N = 256: the
     # skew check 4.4 bands, the whole report 16.0, of which the energy
-    # check's 20 random states take 12 n doubles each. Before the
-    # dissipation bound, the dense eigvalsh took the report to 1.09 n^2
+    # check's 20 random states take 12 n doubles each. The energy check
+    # takes its trials in blocks of 20, so the default 200 trials stay
+    # within the same bound (22.7: a block's arrays outlive the next
+    # block's draw); evaluated at once they took 160 bands. Before
+    # the dissipation bound, the dense eigvalsh took the report to 1.09 n^2
     # doubles (57 bands here). The report runs once first, so the traced
     # run counts its arrays, not the modules its first call imports
     cuts = evenly_spaced_cuts(256, (1e-7, 1e-3, 1e-1, 0.3, 0.49))
@@ -264,7 +268,8 @@ def test_structure_checks_peak_memory():
     sbp_report(ops, trials=20)
     for check, bound in (
             (lambda: check_periodic_sbp(ops.mass_diag, ops.Dz), 12),
-            (lambda: sbp_report(ops, trials=20), 36)):
+            (lambda: sbp_report(ops, trials=20), 36),
+            (lambda: sbp_report(ops), 36)):
         tracemalloc.start()
         try:
             check()
