@@ -55,8 +55,8 @@ from .models import (
     well_prepared_init,
     energy,
 )
+from .results import ResultTable
 from .experiments import (
-    ResultTable,
     run_convergence,
     run_asymptotic,
     run_condition,

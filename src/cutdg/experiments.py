@@ -16,7 +16,7 @@ pair (_condition_kappa). The operators are block bands
 (operators.BlockBand): the steppers, the probe columns of a step matrix
 and the energy check multiply bands into states, and a band is densified
 only for a dense algorithm: the condition study's eigensolve or SVD, and
-the implicit-heat study's solves, which densify the band product
+the implicit-heat study's inverse, which densifies the band product
 L = D^rho D^gt once per variant. All steppers used here are
 linear in the state, so every integration assembles its one-step matrix
 once, by one batched stepper call (linear_step_matrix). A telegraph or
@@ -25,8 +25,8 @@ largest cell distance in its exact cell pattern (_telegraph_band,
 _heat_band), so the stepper runs on probe columns, each the sum of
 identity columns whose cells lie at least 2R + 1 apart, and every entry
 of the matrix is still the stepper's own output. Where fewer than two
-such runs of cells fit, and for the implicit-heat step, whose matrix is
-dense, the stepper runs on the identity columns.
+such runs of cells fit, the stepper runs on the identity columns. The
+dense implicit-heat step matrix is one inverse (midpoint_step_matrix).
 The telegraph and explicit-heat integrations then propagate by a planned
 power: the step matrix is squared j times, with each set bit below 2^j
 applied to the state as a matrix-vector product, its 2^j-th power is
@@ -39,14 +39,14 @@ then advances each further block of HEAT_BLOCK recorded states by one
 product with the squared power S^HEAT_BLOCK of its step matrix S.
 """
 
-import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
 
+from .results import ResultTable
 from .mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from .dg_space import build_space, project, l2_error, l2_norm_of_vector
 from .operators import (
@@ -74,6 +74,7 @@ from .time_integration import (
     stable_ars_step,
     explicit_limit_step,
     implicit_midpoint_heat_step,
+    midpoint_step_matrix,
 )
 
 DOMAIN = (-np.pi, np.pi)
@@ -81,47 +82,6 @@ DOMAIN = (-np.pi, np.pi)
 C_PRE = {0: 0.5, 1: 0.3, 2: 0.15}
 CONVERGENCE_ALPHAS = (1e-7, 1e-3, 1e-1, 0.3, 0.49)
 CONDITION_ALPHAS = (1e-7, 1e-3, 1e-1, 0.25, 0.4, 0.49)
-
-
-@dataclass
-class ResultTable:
-    columns: tuple
-    rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def add(self, **kwargs):
-        try:
-            self.rows.append({c: kwargs[c] for c in self.columns})
-        except KeyError as err:
-            raise ValueError(f"row is missing column {err.args[0]!r}") from None
-
-    def csv_lines(self):
-        """Header line and one line per row; floats keep 17 digits."""
-        def fmt(v):
-            return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-        return [",".join(self.columns)] + [
-            ",".join(fmt(r[c]) for c in self.columns) for r in self.rows]
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
-
-    def write(self, path, fmt):
-        if fmt == "csv":
-            self.to_csv(path)
-        elif fmt == "json":
-            # json.dumps with no indent runs the C encoder (json.dump never
-            # does); rows go out in blocks of 1024, so the text of a long
-            # table is never held in memory whole
-            with open(path, "w") as fh:
-                fh.write(f'{{"metadata": {json.dumps(self.metadata)}, "rows": [')
-                for i in range(0, len(self.rows), 1024):
-                    block = json.dumps(self.rows[i:i + 1024])[1:-1]
-                    fh.write((", " if i else "") + block)
-                fh.write("]}")
-        else:
-            raise ValueError(f"unknown output format {fmt!r}")
 
 
 def parabolic_dt(dx, p):
@@ -633,10 +593,12 @@ def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
 
 
 # recorded implicit-heat states advanced per matrix product: a power of
-# two, so S^HEAT_BLOCK takes log2(HEAT_BLOCK) = 5 squarings. At N = 128,
-# p = 2 (n = 399) blocks of 16 to 128 time within noise of each other, and
-# a larger block only holds more states at once.
-HEAT_BLOCK = 32
+# two, so S^HEAT_BLOCK takes log2(HEAT_BLOCK) = 6 squarings. At N = 128,
+# p = 2 (n = 402, 2 cores) the study runs ~9% faster with 64 than with 32:
+# the block products alone ~13% faster, and the per-block bookkeeping
+# (norms, peaks, one add_block) runs half as often. 128 adds a squaring
+# and 64 sequential first steps, and times within noise of 64.
+HEAT_BLOCK = 64
 
 
 def _midpoint_states(L, rho, dt, n_full, rem):
@@ -650,8 +612,7 @@ def _midpoint_states(L, rho, dt, n_full, rem):
     HEAT_BLOCK steps past column j of the last.
     """
     if n_full:
-        S = linear_step_matrix(
-            lambda u: implicit_midpoint_heat_step(L, u, dt), L.shape[0])
+        S = midpoint_step_matrix(L, dt)
         block = np.empty((len(rho), min(HEAT_BLOCK, n_full)))
         for j in range(block.shape[1]):
             rho = block[:, j] = S @ rho
@@ -711,14 +672,13 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
                 overflow = ~(norms <= blow_up)  # also true for nan
             m = (int(np.argmax(overflow)) + 1 if overflow.any()
                  else block.shape[1])
-            peaks = np.max(np.abs(block[:, :m]), axis=0)
-            for j in range(m):
-                n_steps += 1
-                table.add(variant=variant,
-                          t=n_steps * dt if n_steps <= n_full else t_final,
-                          max_abs_rho=float(peaks[j]),
-                          norm_rho=float(norms[j]),
-                          status="overflow" if overflow[j] else "ok")
+            k = np.arange(n_steps + 1, n_steps + m + 1)
+            n_steps += m
+            table.add_block(variant=variant,
+                            t=np.where(k <= n_full, k * dt, t_final),
+                            max_abs_rho=np.max(np.abs(block[:, :m]), axis=0),
+                            norm_rho=norms[:m],
+                            status=np.where(overflow[:m], "overflow", "ok"))
             rho = block[:, m - 1]
             if overflow[m - 1]:
                 break

@@ -229,3 +229,13 @@ def implicit_midpoint_heat_step(L, u, dt):
     """u_next = (I - dt/2 L)^{-1} (I + dt/2 L) u; u may be (n,) or (n, m),
     and one LU factorization serves all m columns."""
     return np.linalg.solve(factor_implicit(L, dt), u + (0.5 * dt) * (L @ u))
+
+
+def midpoint_step_matrix(L, dt):
+    """The matrix of implicit_midpoint_heat_step, in its Cayley form
+    (I - dt/2 L)^{-1} (I + dt/2 L) = 2 (I - dt/2 L)^{-1} - I: one inverse,
+    with no product by L and no right side formed."""
+    S = np.linalg.inv(factor_implicit(L, dt))
+    S *= 2.0
+    S.flat[::S.shape[0] + 1] -= 1.0
+    return S

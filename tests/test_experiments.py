@@ -24,6 +24,7 @@ from cutdg.time_integration import (
     explicit_limit_step,
     imex_step,
     implicit_midpoint_heat_step,
+    midpoint_step_matrix,
     stable_ars_step,
 )
 from cutdg.experiments import (
@@ -52,6 +53,86 @@ def test_result_table_add_and_column():
     assert [r["a"] for r in t.rows] == [1, 3]
     with pytest.raises(ValueError, match="missing"):
         t.add(a=5)
+    # a misspelt column is an error, not a value dropped
+    with pytest.raises(ValueError, match=r"unknown columns \['c'\]"):
+        t.add(a=5, b=6.0, c=7)
+    with pytest.raises(ValueError, match=r"unknown columns \['c'\]"):
+        t.add_block(a=[5], b=[6.0], c=[7])
+    with pytest.raises(ValueError, match=r"missing columns \['b'\]"):
+        t.add_block(a=[5])
+    with pytest.raises(ValueError, match=r"unequal length \[2, 3\]"):
+        t.add_block(a=np.arange(3), b=[1.0, 2.0])
+    assert len(t) == 2  # a refused row or block adds nothing
+    t.add_block(a=np.array([5, 7]), b=8.0)
+    assert t.rows[2:] == [{"a": 5, "b": 8.0}, {"a": 7, "b": 8.0}]
+    assert t.column("b").tolist() == [2.0, 4.0, 8.0, 8.0]
+
+
+def _row_table_text(columns, rows, metadata, fmt):
+    """The text a table stored as a list of row dicts was written as: the
+    oracle of ResultTable.write."""
+    if fmt == "csv":
+        def fmt(v):
+            return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+        return "\n".join([",".join(columns)] + [
+            ",".join(fmt(r[c]) for c in columns) for r in rows]) + "\n"
+    text = f'{{"metadata": {json.dumps(metadata)}, "rows": ['
+    for i in range(0, len(rows), 1024):
+        text += (", " if i else "") + json.dumps(rows[i:i + 1024])[1:-1]
+    return text + "]}"
+
+
+# rows across two chunk edges; each kind of cell value, and strings the
+# JSON encoder escapes (separators, quotes, a newline, non-ASCII, "%s")
+@pytest.mark.parametrize("n_rows", [0, 1, 2500])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_writer_matches_the_row_writer(tmp_path, n_rows, fmt):
+    columns = ("name", "x", 'y "%s"', "k", "flag", "tag")
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
+                np.float64(1.0) / 3.0, np.float64("nan"), 2.0 ** 60]
+    names = ["ok", "a, b", 'q"uote', "line\nbreak", "\u03b7 = 0.5", "%s", ""]
+    rows = [{"name": names[i % len(names)],
+             "x": specials[i % len(specials)] if i % 3 else i / 7.0,
+             'y "%s"': np.float64(i) * 1.1,
+             "k": i * 10**15,
+             "flag": bool(i % 2),
+             "tag": "block"}
+            for i in range(n_rows)]
+    metadata = {"config": {"alphas": [1e-7, 0.49]}, "note": float("nan")}
+    by_row = ResultTable(columns=columns, metadata=metadata)
+    for r in rows:
+        by_row.add(**r)
+    by_block = ResultTable(columns=columns, metadata=metadata)
+    edges = [0, *(e for e in (1, 8, 1030, 1031, 2047) if e < n_rows), n_rows]
+    for a, b in zip(edges, edges[1:]):
+        block = rows[a:b]
+        by_block.add_block(
+            name=[r["name"] for r in block],
+            x=np.array([r["x"] for r in block]),
+            **{'y "%s"': np.array([r['y "%s"'] for r in block])},
+            k=[r["k"] for r in block],
+            flag=np.array([r["flag"] for r in block]),
+            tag="block")  # one value for the whole block
+    want = _row_table_text(columns, rows, metadata, fmt)
+    for table in (by_row, by_block):
+        assert len(table) == n_rows
+        path = tmp_path / f"t.{fmt}"
+        table.write(path, fmt)
+        assert path.read_text() == want
+        if fmt == "csv":
+            assert "\n".join(table.csv_lines()) + "\n" == want
+
+
+def test_column_writer_writes_a_nested_cell_as_json_dumps_does(tmp_path):
+    table = ResultTable(columns=("a", "b"))
+    rows = [{"a": [1, [2.5, "x, y"]], "b": {"c": 1, "d": None}},
+            {"a": [], "b": "z"}]
+    for r in rows:
+        table.add(**r)
+    table.write(tmp_path / "t.json", "json")
+    assert (tmp_path / "t.json").read_text() == _row_table_text(
+        table.columns, rows, {}, "json")
 
 
 def test_result_table_csv_roundtrip(tmp_path):
@@ -875,15 +956,38 @@ def test_run_heat_implicit_profiles_and_decay():
 SMALL_HEAT_DT = 2 * np.pi / 16 / 30
 
 
-# full-step counts on both sides of the first block edge, and the 76 steps
-# of t_final = 1 (three blocks, the last one partial); a t_final between
-# steps adds a closing step
+# max|S - S_stepper| / max|S_stepper| per variant: both are LU results for
+# I - dt/2 L, whose 2-norm condition number kappa is below 5 for the
+# background and dod operators, where the bound 1e-13 sits above the LU
+# roundoff n eps kappa (n = 34 dofs; 4e-14), and about 1e6 for the
+# unstabilized one, where the bound 1e-10 sits near eps kappa (2e-10).
+# Measured: 1.2e-15, 1.6e-14 and 5.8e-16.
+STEP_MATRIX_RTOL = {"background": 1e-13, "unstabilized": 1e-10, "dod": 1e-13}
+
+
+@pytest.mark.parametrize("variant", experiments.VARIANTS)
+def test_midpoint_step_matrix_is_the_step_on_the_identity(variant):
+    _, ops = experiments._build_case(16, 1, SMALL_HEAT_IMPLICIT["alphas"],
+                                     "mp", variant)
+    L = heat_system(ops).dense()
+    S = midpoint_step_matrix(L, SMALL_HEAT_DT)
+    want = linear_step_matrix(
+        lambda u: implicit_midpoint_heat_step(L, u, SMALL_HEAT_DT), len(L))
+    assert np.max(np.abs(S - want)) <= (STEP_MATRIX_RTOL[variant]
+                                        * np.max(np.abs(want)))
+
+
+# full-step counts on both sides of the first block edge, the 76 steps of
+# t_final = 1 (two blocks, the last one partial) and the 152 steps of
+# t_final = 2 (three blocks, the last one partial); a t_final between steps
+# adds a closing step
 @pytest.mark.parametrize("t_final, n_steps", [
     ((HEAT_BLOCK - 0.5) * SMALL_HEAT_DT, HEAT_BLOCK - 1),
     (HEAT_BLOCK * SMALL_HEAT_DT, HEAT_BLOCK),
     ((HEAT_BLOCK + 1.5) * SMALL_HEAT_DT, HEAT_BLOCK + 1),
     (1.0, 76),
-], ids=["block-1", "block", "block+1", "76"])
+    (2.0, 152),
+], ids=["block-1", "block", "block+1", "76", "152"])
 def test_run_heat_implicit_matches_lu_step_loop(t_final, n_steps):
     table = run_heat_implicit(**dict(SMALL_HEAT_IMPLICIT, t_final=t_final))
     # rtol per variant: the step-matrix product and a solve per step round
@@ -920,9 +1024,9 @@ def test_run_heat_implicit_matches_lu_step_loop(t_final, n_steps):
 
 def test_run_heat_implicit_stops_at_an_overflow_inside_a_block(monkeypatch):
     # L = c I grows every state by the midpoint factor g per step; norms
-    # start near sqrt(pi), so g^k sqrt(pi) first exceeds 1e6 at step 40,
+    # start near sqrt(pi), so g^k sqrt(pi) first exceeds 1e6 at step 70,
     # inside the second block
-    first = 40
+    first = 70
     assert HEAT_BLOCK + 1 < first < 2 * HEAT_BLOCK - 1
     g = (1e6 / np.sqrt(np.pi)) ** (1.0 / (first - 0.5))
     c = (2.0 / SMALL_HEAT_DT) * (g - 1.0) / (g + 1.0)
@@ -944,8 +1048,8 @@ def test_run_heat_implicit_stops_at_an_overflow_inside_a_block(monkeypatch):
     table = run_heat_implicit(**SMALL_HEAT_IMPLICIT)
     n_full, rem = _step_count(SMALL_HEAT_IMPLICIT["t_final"], SMALL_HEAT_DT)
     assert n_full > first and rem > 0
-    # the step matrices only: no closing step of rem
-    assert step_sizes == [SMALL_HEAT_DT] * 3
+    # the overflow ends each variant before its closing step of rem
+    assert step_sizes == []
     for variant in ("background", "unstabilized", "dod"):
         rows = [r for r in table.rows if r["variant"] == variant]
         assert [r["status"] for r in rows] == ["ok"] * first + ["overflow"]
@@ -958,6 +1062,12 @@ def test_run_heat_implicit_stops_at_an_overflow_inside_a_block(monkeypatch):
         np.testing.assert_allclose(
             table.metadata["final_profiles"][variant]["rho"],
             g**first * project(space, np.cos), rtol=1e-10)
+    # short of the overflow, every variant does close with its step of rem
+    t_final = (first - 1.5) * SMALL_HEAT_DT
+    _, rem = _step_count(t_final, SMALL_HEAT_DT)
+    table = run_heat_implicit(**dict(SMALL_HEAT_IMPLICIT, t_final=t_final))
+    assert step_sizes == [rem] * 3
+    assert set(table.column("status")) == {"ok"}
 
 
 @pytest.mark.parametrize("t_final", [0.0, 0.25, 1.0])
