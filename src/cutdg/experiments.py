@@ -3,40 +3,17 @@
 Each runner takes exactly the parameters its study reads, as keyword
 arguments whose defaults are the reference study; it records them in
 metadata["config"] and returns a ResultTable. A study assembles each case
-by one construction, once, and looks each tableau up once: the condition
-study assembles the flow-weighted pair (_CONDITION_FLOW_KINDS) for every
-variant, one operator for both equations of a central row, the others
-operator_pair's pair. The condition number of I - dt D^rho D^gt for a
-dual pair, M D^rho = -(M D^gt)^T, is 1 + dt ||M^1/2 D^gt M^-1/2||_2^2: the
-matrix is symmetric positive definite in the M inner product, and D^gt
-annihilates constants, so its smallest eigenvalue is exactly 1. The study
-takes that closed form, one symmetric eigensolve, for every pair that
-passes the duality check, and the SVD of the formed matrix for any other
-pair (_condition_kappa). The operators are block bands
-(operators.BlockBand): the steppers, the probe columns of a step matrix
-and the energy check multiply bands into states, and a band is densified
-only for a dense algorithm: the condition study's eigensolve or SVD, and
-the implicit-heat study's inverse, which densifies the band product
-L = D^rho D^gt once per variant. All steppers used here are
-linear in the state, so every integration assembles its one-step matrix
-once, by one batched stepper call (linear_step_matrix). A telegraph or
-explicit-heat step couples only cells at most its reach R apart, the
-largest cell distance in its exact cell pattern (_telegraph_band,
-_heat_band), so the stepper runs on probe columns, each the sum of
-identity columns whose cells lie at least 2R + 1 apart, and every entry
-of the matrix is still the stepper's own output. Where fewer than two
-such runs of cells fit, the stepper runs on the identity columns. The
-dense implicit-heat step matrix is one inverse (midpoint_step_matrix).
-The telegraph and explicit-heat integrations then propagate by a planned
-power: the step matrix is squared j times, with each set bit below 2^j
-applied to the state as a matrix-vector product, its 2^j-th power is
-applied to the state n >> j times, and a shorter closing step is applied
-to the state by the stepper itself. _power_plan picks j from the cost of
-a squaring against that of a product, so a long run stops squaring once
-products are cheaper. The implicit-heat study records every step: it
-steps the first HEAT_BLOCK states one matrix-vector product at a time,
-then advances each further block of HEAT_BLOCK recorded states by one
-product with the squared power S^HEAT_BLOCK of its step matrix S.
+by one construction, once, and looks each tableau up once. The operators
+are block bands (operators.BlockBand), densified only for a dense
+algorithm: the condition study's eigensolve or SVD (_condition_kappa) and
+the implicit-heat study's inverse of L = D^rho D^gt. Every stepper used
+here is linear in the state, so each integration builds its one-step
+matrix once: a telegraph or explicit-heat step by one batched stepper call
+on probe columns (linear_step_matrix), the implicit-heat step by one
+inverse (midpoint_step_matrix). propagate raises the matrix to the step
+count by a planned power (_power_plan) and closes with a shorter step; the
+implicit-heat study records every step, HEAT_BLOCK steps per product with
+a power of its matrix (_midpoint_states).
 """
 
 import platform
@@ -208,10 +185,8 @@ def _telegraph_action(system, tab):
 
 def telegraph_step_matrix(system, tab, dt):
     """One-step matrix of the linear IMEX update on stacked (rho, gt),
-    built on the identity columns."""
-    apply_step = _telegraph_action(system, tab)
-    return linear_step_matrix(lambda u: apply_step(u, dt),
-                              2 * system.d_rho.shape[0])
+    the step run on the identity columns."""
+    return _telegraph_action(system, tab)(np.eye(2 * system.d_rho.shape[0]), dt)
 
 
 def _probe_positions(band):
@@ -230,13 +205,13 @@ def _step_columns(band):
     return band.fields * (int(_probe_positions(band).max()) + 1) * band.nodes
 
 
-def linear_step_matrix(apply_step, n, band=None):
-    """One-step matrix of a linear map of states of size n, given its
-    batched action on (n, m) blocks.
+def linear_step_matrix(apply_step, band):
+    """One-step matrix of a linear map of the states of the StepBand band,
+    of size n = fields * cells * nodes, given its batched action on (n, m)
+    blocks.
 
-    Without a band the action runs on the n identity columns. With one it
-    runs on probe columns (Curtis, Powell & Reid, IMA J. Appl. Math. 13,
-    1974): the probe of a (field, cell, node) column is its field, its
+    The action runs on probe columns (Curtis, Powell & Reid, IMA J. Appl.
+    Math. 13, 1974): the probe of a (field, cell, node) column is its field, its
     cell's position within its run (_probe_positions) and its node, and a
     probe column is the sum of its identity columns. A column's nonzeros lie
     within reach cells of its own cell, where no other column of its probe
@@ -249,10 +224,9 @@ def linear_step_matrix(apply_step, n, band=None):
     cells hold fewer than two runs of 2 reach + 1 cells, the probes are the
     identity columns and the gather is the identity.
     """
-    if band is None:
-        return apply_step(np.eye(n))
     positions = _probe_positions(band)
     fields, cells, nodes, reach = band
+    n = fields * cells * nodes
     width = int(positions.max()) + 1
     probe = ((np.arange(fields)[:, None, None] * width + positions[:, None])
              * nodes + np.arange(nodes)).ravel()
@@ -315,29 +289,27 @@ def _power_plan(n_full, n):
     return j, (n_full & ((1 << j) - 1)).bit_count() + (n_full >> j)
 
 
-def propagate(apply_step, state, t_final, dt, band=None):
+def propagate(apply_step, state, t_final, dt, band):
     """Advance a state vector to t_final with fixed steps.
 
     apply_step(u, h) is the batched linear one-step action: u is the state
     (n,) or a block of states (n, m). The dt step matrix S is built once,
-    by one apply_step call on the probe columns of the step's StepBand, or
-    on the identity without one (linear_step_matrix; no matrix is built
-    when t_final < dt), and raised to the number of full steps as _power_plan
-    says: j squarings, with each set bit's power below 2^j applied to the
-    state as a matrix-vector product, then n_full >> j products with
-    S^(2^j). A shorter closing step, one apply_step call on the state,
-    lands exactly on t_final. Raises ValueError for t_final < 0 or
-    dt <= 0, and FloatingPointError if the result is not finite (an
-    unstable step); overflow inside the products raises no numpy warning
-    of its own.
+    by one apply_step call on the probe columns of the step's StepBand band
+    (linear_step_matrix; no matrix is built when t_final < dt), and raised
+    to the number of full steps as _power_plan says: j squarings, with each
+    set bit's power below 2^j applied to the state as a matrix-vector
+    product, then n_full >> j products with S^(2^j). A shorter closing
+    step, one apply_step call on the state, lands exactly on t_final.
+    Raises ValueError for t_final < 0 or dt <= 0, and FloatingPointError if
+    the result is not finite (an unstable step); overflow inside the
+    products raises no numpy warning of its own.
     """
     n_full, rem = _step_count(t_final, dt)
     squarings, _ = _power_plan(n_full, len(state))
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         if n_full:
-            power = linear_step_matrix(lambda u: apply_step(u, dt),
-                                       len(state), band)
+            power = linear_step_matrix(lambda u: apply_step(u, dt), band)
             for bit in range(squarings):
                 if n_full >> bit & 1:
                     out = power @ out
@@ -508,8 +480,8 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
 
 def weighted_condition_number(A, M):
     """kappa = ||A||_M ||A^-1||_M, the 2-norm condition number of
-    M^1/2 A M^-1/2 (inf for a singular A)."""
-    m = np.diag(M) if np.asarray(M).ndim == 2 else np.asarray(M)
+    M^1/2 A M^-1/2 (inf for a singular A), for the diagonal M."""
+    m = sbp_verify._diagonal(M, len(A))
     if np.any(m <= 0):
         raise ValueError("weight matrix must be positive definite")
     sq = np.sqrt(m)
@@ -695,17 +667,18 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
 
 
 def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
-                   alphas=(1e-7, 1e-3, 0.3, 0.49), epsilon=1.0,
-                   seed=0) -> ResultTable:
-    """Structure residuals over a (p, alpha, eta, pairing) grid; seed seeds
-    the random states of the sampled energy check.
+                   alphas=(1e-7, 1e-3, 0.3, 0.49), epsilon=1.0) -> ResultTable:
+    """Structure residuals and certified bounds over a (p, alpha, eta,
+    pairing) grid, by sbp_verify.sbp_report.
 
     max_dissipation_eigenvalue is the certified bound of
     sbp_verify.check_upwind_sbp; metadata["dissipation"] holds one record
     per row: its p, alpha, eta and pairing and the fields of the
     certificate (sbp_verify.DissipationCertificate): the bound, the cells
     of each window, lambda_min(P_W) / max|P_W| per window, the Gershgorin
-    bound and the pad.
+    bound and the pad. energy_derivative_bound is the certified bound of
+    sbp_verify.check_energy_decay, and metadata["energy"] holds per row its
+    p, alpha, eta and pairing and the r and l it is built from.
     """
     table = ResultTable(
         columns=("p", "alpha", "eta", "pairing", "skew_residual",
@@ -713,7 +686,7 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
                  "energy_derivative_bound", "passed"),
         metadata=_metadata(locals()),
     )
-    table.metadata["dissipation"] = []
+    table.metadata["dissipation"], table.metadata["energy"] = [], []
     for p in degrees:
         for alpha in alphas:
             space = _case_space(cells, p, (alpha,))
@@ -724,9 +697,7 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
             for eta_val in etas:
                 for pairing in pairings:
                     ops = operator_pair(space, pairing, eta={c: eta_val})
-                    rep = sbp_verify.sbp_report(
-                        ops, eps=epsilon, trials=20, rng_seed=seed,
-                    )
+                    rep = sbp_verify.sbp_report(ops, eps=epsilon)
                     table.add(
                         p=p, alpha=alpha, eta=eta_val, pairing=pairing,
                         skew_residual=rep.skew_residual,
@@ -735,7 +706,10 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
                         energy_derivative_bound=rep.energy_derivative_bound,
                         passed=rep.passed,
                     )
-                    table.metadata["dissipation"].append(dict(
-                        p=p, alpha=alpha, eta=eta_val, pairing=pairing,
-                        **asdict(rep.dissipation)))
+                    case = dict(p=p, alpha=alpha, eta=eta_val, pairing=pairing)
+                    table.metadata["dissipation"].append(
+                        dict(case, **asdict(rep.dissipation)))
+                    table.metadata["energy"].append(dict(
+                        case, coupling=rep.energy_coupling,
+                        drift=rep.energy_drift))
     return table

@@ -449,13 +449,12 @@ def sbp_residual(mass_diag, a, b):
     return float(np.max(np.abs(_mform_sum(mass_diag, a, b))))
 
 
-def dissipation_blocks(mass_diag, dp, dm):
-    """Blocks of -1/2 sym(M (D^+ - D^-)) for the bands D^+ and D^-, in the
-    layout of _mform_sum. It is S plus the ridge for a pair that
+def dissipation_blocks(mass_diag, diff):
+    """Blocks of -1/2 sym(M A) for the band A = D^+ - D^-, in the layout of
+    _mform_sum. It is S plus the ridge for a pair that
     symmetrize_upwind_pair formed, as the stored pair gives it back: each
-    entry is -1/4 (m_i A_ij + m_j A_ji) for A = D^+ - D^-, the n x n entry
-    of sym(M A) scaled exactly by -1/2, and it is exactly symmetric."""
-    diff = BlockBand(dp.blocks - dm.blocks)
+    entry is -1/4 (m_i A_ij + m_j A_ji), the n x n entry of sym(M A) scaled
+    exactly by -1/2, and it is exactly symmetric."""
     return -0.25 * _mform_sum(mass_diag, diff, diff)
 
 

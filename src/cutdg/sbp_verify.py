@@ -7,19 +7,23 @@ which is the verdict (<= 0 up to roundoff means stable). The operators are
 the bands of cutdg.operators, and no check forms an n x n matrix. The skew
 and duality residuals are both max |M A + (M B)^T|, computed on the bands'
 blocks by operators.sbp_residual, the kernel that also guards the pair
-that operator_pair forms; the energy check multiplies bands into states.
-The dissipation check certifies an upper bound on the largest eigenvalue
-of sym(M (D+ - D-)) one small cell at a time (check_upwind_sbp), with one
-eigensolve of a few cells' block per small cell.
+that operator_pair forms. The dissipation check certifies an upper bound
+on the largest eigenvalue of sym(M (D+ - D-)) one small cell at a time
+(check_upwind_sbp), with one eigensolve of a few cells' block per small
+cell, and the energy check certifies an upper bound on dE/dt / E from that
+bound and the blocks of M D^rho + (M D^gt)^T (check_energy_decay).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import energy, telegraph_system
+from .models import telegraph_system
 from .operators import (
+    BlockBand,
     OperatorSet,
+    _band_columns,
+    _mform_sum,
     dissipation_blocks,
     interface_dissipation,
     sbp_residual,
@@ -28,9 +32,10 @@ from .operators import (
 SKEW_TOL = 1e-11
 DUALITY_TOL = 1e-11
 DISSIPATION_TOL = 1e-11
+# the certified energy bound is about r^2 / 2, r the duality roundoff of
+# (D^rho, D^gt) scaled by M^-1/2, which the smallest cell's mass inflates:
+# at most 2.1e-12 on sbp-check's grid at N = 64 (p = 3, alpha = 1e-7)
 ENERGY_TOL = 1e-9
-# random states check_energy_decay evaluates at once (sbp-check runs 20)
-TRIAL_BLOCK = 20
 
 
 @dataclass(frozen=True)
@@ -49,18 +54,19 @@ class DissipationCertificate:
 
 @dataclass(frozen=True)
 class SBPReport:
-    """Residuals of the four structure checks for one operator set.
-
-    max_dissipation_eigenvalue is the certified upper bound on the largest
-    eigenvalue of sym(M (D+ - D-)) (check_upwind_sbp), and dissipation
-    the certificate it comes from.
-    """
+    """Residuals and certified bounds of the four structure checks for one
+    operator set: max_dissipation_eigenvalue is the bound of
+    check_upwind_sbp, with its certificate dissipation, and
+    energy_derivative_bound that of check_energy_decay, built from
+    energy_coupling r and energy_drift l."""
 
     skew_residual: float
     duality_residual: float
     max_dissipation_eigenvalue: float
     energy_derivative_bound: float
-    dissipation: DissipationCertificate | None = None
+    energy_coupling: float
+    energy_drift: float
+    dissipation: DissipationCertificate
 
     @property
     def passed(self) -> bool:
@@ -72,18 +78,22 @@ class SBPReport:
         )
 
 
-def _as_diag(M):
-    M = np.asarray(M, dtype=float)
-    return np.diag(M) if M.ndim == 2 else M
+def _diagonal(M, n):
+    """M as the diagonal of n dofs; the diagonal of a 2-D M would drop its
+    other entries unseen, so any other shape raises."""
+    m = np.asarray(M, dtype=float)
+    if m.shape != (n,):
+        raise ValueError(
+            f"M must be a 1-D diagonal of {n} entries, got shape {m.shape}")
+    return m
 
 
 def check_periodic_sbp(M, D):
     """Max-norm of M D + D^T M (zero iff the band D is a periodic SBP
-    operator)."""
-    m = _as_diag(M)
-    if D.shape[0] != D.shape[1] or D.shape[0] != len(m):
-        raise ValueError("dimension mismatch between M and D")
-    return sbp_residual(m, D, D)
+    operator); M is the mass diagonal."""
+    if D.shape[0] != D.shape[1]:
+        raise ValueError(f"D must be square, got shape {D.shape}")
+    return sbp_residual(_diagonal(M, D.shape[0]), D, D)
 
 
 def _windows(small_cells, cells):
@@ -136,11 +146,16 @@ def check_upwind_sbp(space, M, Dp, Dm):
     corner subtractions and of its small eigensolve is of the size of a
     dense eigensolve's own, and is not padded.
     """
-    m = _as_diag(M)
-    if Dp.shape != Dm.shape or not Dp.shape[0] == len(m) == space.n_dofs:
-        raise ValueError("dimension mismatch between M and operators")
-    dual = sbp_residual(m, Dp, Dm)
-    s = dissipation_blocks(m, Dp, Dm)
+    if Dp.shape != Dm.shape or Dp.shape[0] != space.n_dofs:
+        raise ValueError("dimension mismatch between the space and operators")
+    m = _diagonal(M, space.n_dofs)
+    return sbp_residual(m, Dp, Dm), _dissipation_certificate(
+        space, m, BlockBand(Dp.blocks - Dm.blocks))
+
+
+def _dissipation_certificate(space, m, diff):
+    """check_upwind_sbp's certificate for the band diff = D+ - D-."""
+    s = dissipation_blocks(m, diff)
     cells, width, k, _ = s.shape
     mid = width // 2
     rr, rl, lr, ll = interface_dissipation(space)
@@ -172,54 +187,66 @@ def check_upwind_sbp(space, M, Dp, Dm):
     g = float(np.min(centre + np.abs(centre) - np.sum(np.abs(rest), axis=(1, 3))))
     pad = 2.0 * float(np.finfo(float).eps) * float(np.max(np.sum(
         np.abs(rr) + np.abs(rl) + np.abs(lr) + np.abs(ll), axis=1)))
-    return dual, DissipationCertificate(
+    return DissipationCertificate(
         bound=-2.0 * (negative + g - pad), windows=windows,
         window_min_eigs=tuple(relative), gershgorin=g, pad=pad)
 
 
-def check_energy_decay(opset: OperatorSet, eps, trials=200, rng_seed=0):
-    """Worst-case energy derivative over random states, relative to energy.
-
-    Evaluates d/dt (rho^T M rho + eps^2 gt^T M gt) algebraically with the
-    right side f + g of the split telegraph system (models.telegraph_system,
-    which requires eps > 0) and returns the maximum of the ratio
-    derivative / energy; a value <= 0 (up to roundoff) certifies decay.
-    Trials are drawn and evaluated in blocks of at most TRIAL_BLOCK, as
-    (n, block) columns, three band products per block, so the check holds
-    about 12 TRIAL_BLOCK n doubles however many trials it runs.
-    """
+def _energy_certificate(opset, eps, drift_bound):
+    """(bound, r, l) of check_energy_decay, given drift_bound >= lambda_max
+    of sym(M (D+ - D-)) for the drift."""
     system = telegraph_system(opset, eps)
-    if trials < 1:
-        # the maximum over no states would certify any operator
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
     m = opset.mass_diag
-    rng = np.random.default_rng(rng_seed)
-    worst = []
-    for start in range(0, trials, TRIAL_BLOCK):
-        # draws in (trial, rho/gt, dof) order, block after block, give the
-        # states of drawing rho, then gt, trial after trial
-        states = rng.standard_normal((min(TRIAL_BLOCK, trials - start), 2, len(m)))
-        rho, gt = states[:, 0], states[:, 1]
-        f, g = system.explicit_rhs((rho.T, gt.T)), system.implicit_rhs((rho.T, gt.T))
-        rho_dot, gt_dot = f[0].T, (f[1] + g[1]).T
-        deriv = (2.0 * np.sum(rho * (m * rho_dot), axis=1)
-                 + 2.0 * eps**2 * np.sum(gt * (m * gt_dot), axis=1))
-        worst.append(np.max(deriv / energy(opset, (rho, gt), eps)))
-    # np.max, unlike max, keeps a nan
-    return float(np.max(worst))
+    # the blocks of R scaled to M^-1/2 R M^-1/2; their Frobenius norm
+    # bounds its 2-norm
+    blocks = _mform_sum(m, system.d_rho, system.d_gt)
+    w = 1.0 / np.sqrt(m.reshape(len(blocks), -1))
+    cols = _band_columns(*blocks.shape[:2])
+    r = float(np.linalg.norm(blocks * w[:, None, :, None] * w[cols, None, :]))
+    # np.maximum, unlike max, keeps a nan, which fails as c <= 0 does
+    ell = float(np.maximum(0.0, drift_bound)) / float(np.min(m))
+    c = 2.0 - system.eps * ell
+    if not c > 0.0:
+        return float("inf"), r, ell
+    root = np.sqrt(c**2 + 4.0 * (r * system.eps)**2)
+    return float(2.0 * r**2 / (c + root)), r, ell
 
 
-def sbp_report(opset: OperatorSet, eps=1.0, trials=200, rng_seed=0) -> SBPReport:
-    """Run all structure checks on an assembled operator set."""
+def check_energy_decay(opset: OperatorSet, eps):
+    """Certified upper bound on dE/dt / E, E = rho^T M rho + eps^2 gt^T M gt
+    (models.energy), for the telegraph system of eps > 0
+    (models.telegraph_system); a value <= 0 (up to roundoff) certifies
+    decay. With R = M D^rho + (M D^gt)^T,
+
+        dE/dt = -2 rho^T R gt + gt^T (eps sym(M (D+ - D-)) - 2 M) gt.
+
+    In x = M^1/2 rho and y = eps M^1/2 gt it is at most
+    2 r/eps |x| |y| - c/eps^2 |y|^2 for r >= ||M^-1/2 R M^-1/2||_2 read
+    from R's blocks (operators._mform_sum), c = 2 - eps l and
+    l = max(0, b) / min(M), b check_upwind_sbp's bound for the drift
+    opset.d_diff. Over |x|^2 + |y|^2 = E that is at most
+    2 r^2 / (c + sqrt(c^2 + 4 r^2 eps^2)) E, and unbounded (inf) when
+    c <= 0. No n x n array is formed.
+    """
+    drift = _dissipation_certificate(opset.space, opset.mass_diag, opset.d_diff)
+    return _energy_certificate(opset, eps, drift.bound)[0]
+
+
+def sbp_report(opset: OperatorSet, eps=1.0) -> SBPReport:
+    """Run all structure checks on an assembled operator set. The window
+    eigensolves run once: the pair's dissipation certificate is also the
+    energy check's bound for the drift, which operator_pair forms as
+    D+ - D-."""
     duality, dissipation = check_upwind_sbp(
         opset.space, opset.mass_diag, opset.Dp_symm, opset.Dm_symm
     )
+    bound, r, ell = _energy_certificate(opset, eps, dissipation.bound)
     return SBPReport(
         skew_residual=check_periodic_sbp(opset.mass_diag, opset.Dz),
         duality_residual=duality,
         max_dissipation_eigenvalue=dissipation.bound,
-        energy_derivative_bound=check_energy_decay(
-            opset, eps, trials=trials, rng_seed=rng_seed
-        ),
+        energy_derivative_bound=bound,
+        energy_coupling=r,
+        energy_drift=ell,
         dissipation=dissipation,
     )

@@ -187,6 +187,9 @@ def test_weighted_condition_number_identity_and_oracle():
         float("inf"))
     with pytest.raises(ValueError):
         weighted_condition_number(np.eye(2), np.array([1.0, -1.0]))
+    # a full weight matrix is rejected, not read by its diagonal
+    with pytest.raises(ValueError, match="1-D diagonal"):
+        weighted_condition_number(np.eye(2), np.eye(2))
 
 
 def test_weighted_condition_number_matches_dense_oracle():
@@ -225,6 +228,13 @@ def test_telegraph_step_matrix_steps_with_the_plain_imex_step_for_ssp2():
     assert np.array_equal(telegraph_step_matrix(system, tab, 1e-3), want)
 
 
+def whole(n):
+    """StepBand of a map of n states of one dof each that reaches every
+    cell: its cells form one run, so linear_step_matrix runs the step on
+    the n identity columns."""
+    return experiments.StepBand(1, n, 1, n)
+
+
 def test_propagate_matches_step_loop_including_remainder():
     S = np.array([[0.9, 0.1], [0.0, 0.8]])
 
@@ -235,7 +245,7 @@ def test_propagate_matches_step_loop_including_remainder():
     v0 = np.array([1.0, 2.0])
     dt = 0.03
     t_final = 0.1  # 3 full steps plus a remainder of 0.01
-    got = propagate(apply_step, v0, t_final, dt)
+    got = propagate(apply_step, v0, t_final, dt, whole(2))
     want = v0.copy()
     for _ in range(3):
         want = apply_step(want, dt)
@@ -262,8 +272,8 @@ def test_propagate_matches_literal_step_loop(n_full, with_remainder):
         want = apply_step(want, dt)
     if with_remainder:
         want = apply_step(want, dt / 2)
-    np.testing.assert_allclose(propagate(apply_step, v0, t_final, dt), want,
-                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(propagate(apply_step, v0, t_final, dt, whole(6)),
+                               want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("t_final, calls", [(0.07, [1]), (0.7, [2]),
@@ -278,7 +288,7 @@ def test_propagate_builds_one_step_matrix_and_steps_the_remainder_once(
         seen.append(u.ndim)
         return 0.5 * u
 
-    propagate(apply_step, np.ones(3), t_final, 0.1)
+    propagate(apply_step, np.ones(3), t_final, 0.1, whole(3))
     assert seen == calls
 
 
@@ -288,7 +298,7 @@ def test_propagate_raises_on_non_finite_state():
     # overflow inside the matrix products raises no numpy warning
     for t_final in (2000.0, 2000.5):
         with pytest.raises(FloatingPointError, match="not finite"):
-            propagate(lambda u, h: 2.0 * u, np.ones(2), t_final, 1.0)
+            propagate(lambda u, h: 2.0 * u, np.ones(2), t_final, 1.0, whole(2))
 
 
 @pytest.mark.parametrize("t_final, dt", [(-0.1, 0.03), (float("nan"), 0.03),
@@ -296,12 +306,13 @@ def test_propagate_raises_on_non_finite_state():
 def test_propagate_rejects_negative_time_and_non_positive_step(t_final, dt):
     # a negative step count has no forward power
     with pytest.raises(ValueError, match="t_final|dt"):
-        propagate(lambda u, h: 0.5 * u, np.ones(2), t_final, dt)
+        propagate(lambda u, h: 0.5 * u, np.ones(2), t_final, dt, whole(2))
 
 
 def test_propagate_zero_time_returns_the_state():
     v0 = np.array([1.0, 2.0])
-    assert np.array_equal(propagate(lambda u, h: 0.5 * u, v0, 0.0, 0.1), v0)
+    assert np.array_equal(propagate(lambda u, h: 0.5 * u, v0, 0.0, 0.1, whole(2)),
+                          v0)
 
 
 def _brute_force_plan(n_full, n):
@@ -363,8 +374,9 @@ def test_propagate_with_early_stopped_plan_matches_literal_step_loop(n_full):
     want = v0.copy()
     for _ in range(n_full):
         want = apply_step(want, dt)
-    np.testing.assert_allclose(propagate(apply_step, v0, n_full * dt, dt),
-                               want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        propagate(apply_step, v0, n_full * dt, dt, whole(n)), want,
+        rtol=1e-12, atol=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -377,7 +389,7 @@ def test_propagate_overflow_in_the_product_loop_raises_only_at_the_end():
     assert (squarings, n_full >> squarings) == (8, 19)
     assert np.isfinite(1.5 ** 2**squarings)
     with pytest.raises(FloatingPointError, match="not finite"):
-        propagate(lambda u, h: 1.5 * u, np.ones(n), float(n_full), 1.0)
+        propagate(lambda u, h: 1.5 * u, np.ones(n), float(n_full), 1.0, whole(n))
 
 
 def test_integrate_telegraph_matches_matrix_power():
@@ -428,8 +440,16 @@ def test_propagate_peak_memory_is_the_squaring_floor():
 
 
 def test_linear_step_matrix_is_the_identity_image():
+    # one run of cells: the stepper runs on the identity columns
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(linear_step_matrix(lambda u: A @ u, 2), A)
+    seen = []
+
+    def step(u):
+        seen.append(u.copy())
+        return A @ u
+
+    assert np.array_equal(linear_step_matrix(step, whole(2)), A)
+    assert len(seen) == 1 and np.array_equal(seen[0], np.eye(2))
 
 
 def _cell_distance_reached(S, band):
@@ -482,7 +502,7 @@ def test_pattern_reach_is_the_reach_of_the_identity_build(pairing, n_bg):
                 band = band_of(tab)
                 n = band.fields * band.cells * band.nodes
                 reached = _cell_distance_reached(
-                    linear_step_matrix(lambda u: apply_step(u, 0.05), n), band)
+                    apply_step(np.eye(n), 0.05), band)
                 case = (variant, p, tab.name, band.fields)
                 assert reached <= band.reach, case
                 if n_bg >= 32:
@@ -508,7 +528,7 @@ def test_pattern_reach_follows_the_drift_operator():
         tab = builtin_tableau(name)
         band = experiments._telegraph_band(ops, tab)
         apply_step = experiments._telegraph_action(system, tab)
-        S = linear_step_matrix(lambda u: apply_step(u, 0.05), 2 * space.n_dofs)
+        S = apply_step(np.eye(2 * space.n_dofs), 0.05)
         assert _cell_distance_reached(S, band) == band.reach > 6, name
 
 
@@ -529,9 +549,9 @@ def test_band_build_equals_identity_build(pairing, variant):
         def step(u):
             return apply_step(u, dt)
 
-        S = linear_step_matrix(step, n)
+        S = step(np.eye(n))
         assert _cell_distance_reached(S, band) <= band.reach
-        got = linear_step_matrix(step, n, band)
+        got = linear_step_matrix(step, band)
         assert np.abs(got - S).max() <= 1e-14 * np.abs(S).max()
 
 
@@ -554,7 +574,7 @@ def test_band_build_with_fewer_than_two_runs_is_the_identity_build(cells):
     def step(u):
         return apply_step(u, 1e-3)
 
-    got, want = linear_step_matrix(step, n, band), linear_step_matrix(step, n)
+    got, want = linear_step_matrix(step, band), step(np.eye(n))
     if cells == 16:
         assert np.array_equal(got, want)
     else:
@@ -669,12 +689,12 @@ def test_step_records_name_the_columns_the_stepper_ran_on(monkeypatch):
     seen = []
     build = experiments.linear_step_matrix
 
-    def recorded(apply_step, n, band=None):
+    def recorded(apply_step, band):
         def counted(u):
-            seen.append((n, u.shape[1], band))
+            seen.append((len(u), u.shape[1], band))
             return apply_step(u)
 
-        return build(counted, n, band)
+        return build(counted, band)
 
     monkeypatch.setattr(experiments, "linear_step_matrix", recorded)
     table = run_convergence(degrees=(1,), cells=(64,), epsilons=(1e-1,),
@@ -971,8 +991,7 @@ def test_midpoint_step_matrix_is_the_step_on_the_identity(variant):
                                      "mp", variant)
     L = heat_system(ops).dense()
     S = midpoint_step_matrix(L, SMALL_HEAT_DT)
-    want = linear_step_matrix(
-        lambda u: implicit_midpoint_heat_step(L, u, SMALL_HEAT_DT), len(L))
+    want = implicit_midpoint_heat_step(L, np.eye(len(L)), SMALL_HEAT_DT)
     assert np.max(np.abs(S - want)) <= (STEP_MATRIX_RTOL[variant]
                                         * np.max(np.abs(want)))
 
@@ -1119,6 +1138,39 @@ def test_run_sbp_report_records_each_dissipation_certificate():
         assert rec["window_min_eigs"][0] >= -1e-14
         assert 0.0 < rec["pad"] < 1e-14
         assert rec["bound"] >= -2.0 * (rec["gershgorin"] - rec["pad"])
+
+
+def test_run_sbp_report_records_each_energy_certificate():
+    table = run_sbp_report(degrees=(0, 1), cells=8, alphas=(1e-3, 0.3),
+                           epsilon=0.1)
+    records = json.loads(json.dumps(table.metadata))["energy"]
+    key = ("p", "alpha", "eta", "pairing")
+    assert ([[r[k] for k in key] for r in records]
+            == [[r[k] for k in key] for r in table.rows])
+    for rec, row in zip(records, table.rows):
+        # the bound of sbp_verify.check_energy_decay from its r and l
+        r, ell = rec["coupling"], rec["drift"]
+        c = 2.0 - 0.1 * ell
+        want = 2.0 * r**2 / (c + np.sqrt(c**2 + 4.0 * (0.1 * r)**2))
+        assert row["energy_derivative_bound"] == pytest.approx(want, rel=1e-14)
+        assert 0.0 < r < 1e-6 and ell < 1e-6
+
+
+def test_sbp_check_loads_no_random_generator(tmp_path):
+    # a fresh interpreter, because the tests load numpy.random into this
+    # one. --seed is accepted, as by every study, and read by none
+    src = str(Path(cutdg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "sbp.json"
+    code = ("import sys; from cutdg import cli; "
+            "code = cli.main(['sbp-check', '--cells', '8', '--seed', '3',"
+            f" '--format', 'json', '--out', {str(out)!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.splitlines()[-1] == "0 False", run.stdout
+    assert "seed" not in json.loads(out.read_text())["metadata"]["config"]
 
 
 def test_run_sbp_report_rejects_a_cut_without_a_small_cell():
