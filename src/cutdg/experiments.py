@@ -5,8 +5,8 @@ arguments whose defaults are the reference study; it records them in
 metadata["config"] and returns a ResultTable. A study assembles each case
 by one construction, once, and looks each tableau up once. The operators
 are block bands (operators.BlockBand), densified only for a dense
-algorithm: the condition study's eigensolve or SVD (_condition_kappa) and
-the implicit-heat study's inverse of L = D^rho D^gt. Every stepper used
+algorithm: the condition study's Gram eigensolve or SVD (_condition_kappa)
+and the implicit-heat study's inverse of L = D^rho D^gt. Every stepper used
 here is linear in the state, so each integration builds its one-step
 matrix once: a telegraph or explicit-heat step by one batched stepper call
 on probe columns (linear_step_matrix), the implicit-heat step by one
@@ -27,6 +27,7 @@ from .results import ResultTable
 from .mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from .dg_space import build_space, project, l2_error, l2_norm_of_vector
 from .operators import (
+    BlockBand,
     operator_pair,
     assemble_stabilized,
     mass_diagonal,
@@ -36,6 +37,9 @@ from .operators import (
     CENTRAL,
     PAIR_TOL,
     sbp_residual,
+    _band_columns,
+    _folded,
+    _transposed,
 )
 from . import sbp_verify
 from .models import (
@@ -502,6 +506,35 @@ _CONDITION_FLOW_KINDS = {
 }
 
 
+# bound on a "gram" row's relative error n u kappa^2 (u the machine
+# epsilon; lambda_min is good to ~ n u lambda_max): above it, the SVD
+GRAM_RTOL = 1e-8
+
+
+def _m_scaled(m, band):
+    """The band M^1/2 A M^-1/2 of the band A, for M = diag(m)."""
+    cells, width, k, _ = band.blocks.shape
+    sq = np.sqrt(m).reshape(cells, k)
+    return BlockBand(sq[:, None, :, None] * band.blocks
+                     / sq[_band_columns(cells, width), None, :])
+
+
+def _gram(band):
+    """The n x n matrix A^T A of the band A, formed as a band."""
+    return (BlockBand(_transposed(_folded(band))) @ band).dense()
+
+
+def _symbol_norm(blocks):
+    """||C||_2 of the block circulant C of cell row blocks[0]: the largest
+    singular value of its symbols sum_d blocks[0, d] e^{i t (d - reach)},
+    t = 2 pi m / cells (Davis, Circulant Matrices, 1979)."""
+    cells, width = blocks.shape[:2]
+    t = 2.0 * np.pi * np.arange(cells) / cells
+    phase = np.exp(1j * np.outer(t, np.arange(width) - (width - 1) // 2))
+    symbols = np.tensordot(phase, blocks[0], axes=1)
+    return float(np.max(np.linalg.svd(symbols, compute_uv=False)))
+
+
 def _condition_kappa(n_bg, p, pairing, variant, alphas):
     """Weighted condition number of A = I - dt D^rho D^gt for the
     flow-weighted pair of _CONDITION_FLOW_KINDS[pairing] on one variant's
@@ -511,12 +544,14 @@ def _condition_kappa(n_bg, p, pairing, variant, alphas):
     L = D^rho D^gt, so A is symmetric positive definite in the M inner
     product with eigenvalues 1 + dt s^2, s a singular value of
     B = M^1/2 D^gt M^-1/2. D^gt annihilates constants, so the smallest is
-    exactly 1 and kappa = 1 + dt ||B||_2^2: one symmetric eigensolve of
-    B^T B, no n^3 product and no SVD. The pair counts as dual when its
-    residual passes PAIR_TOL on the scale max(|M D^gt|, 1), the test
-    symmetrize_upwind_pair applies; any other pair (the flow-weighted "mp"
-    pair on a stabilized cell, p >= 1) forms A from the band product
-    D^rho D^gt and takes its SVD. Only B and A are dense.
+    exactly 1 and kappa = 1 + dt ||B||_2^2: from B's symbols when its cell
+    rows agree to d = circulant_deviation <= PAIR_TOL (good by Weyl to
+    (2 reach + 1) k d relative), else from the Gram band B^T B. The pair
+    counts as dual when its residual passes PAIR_TOL on the scale
+    max(|M D^gt|, 1), the test symmetrize_upwind_pair applies; any other
+    pair (the flow-weighted "mp" pair on a stabilized cell, p >= 1) takes
+    sqrt(lambda_max / lambda_min) of X^T X, X = M^1/2 A M^-1/2, or A's SVD
+    above GRAM_RTOL. Only the Gram matrices and an SVD row's A are dense.
     """
     space, eta = _variant_space(n_bg, p, alphas, variant)
     rho, gt = _CONDITION_FLOW_KINDS[pairing]
@@ -528,25 +563,42 @@ def _condition_kappa(n_bg, p, pairing, variant, alphas):
     # max|M D^gt| over the blocks of the band
     scale = np.max(np.abs(m.reshape(len(d_gt.blocks), 1, -1, 1) * d_gt.blocks))
     if residual <= PAIR_TOL * max(scale, 1.0):
-        sq = np.sqrt(m)
-        B = sq[:, None] * d_gt.dense() / sq[None, :]
-        norm_sq = float(np.linalg.eigvalsh(B.T @ B)[-1])
-        return 1.0 + dt * norm_sq, dict(method="closed_form", residual=residual,
+        b = _m_scaled(m, d_gt).blocks
+        deviation = float(np.max(np.abs(b - b[0])) / np.max(np.abs(b)))
+        if deviation <= PAIR_TOL:
+            norm_sq = _symbol_norm(b) ** 2
+            record = dict(method="symbol", circulant_deviation=deviation)
+        else:
+            norm_sq = float(np.linalg.eigvalsh(_gram(BlockBand(b)))[-1])
+            record = dict(method="closed_form")
+        return 1.0 + dt * norm_sq, dict(record, residual=residual,
                                         dgt_norm_m=norm_sq ** 0.5)
-    A = np.eye(space.n_dofs) - dt * (d_rho @ d_gt).dense()
-    return weighted_condition_number(A, m), dict(
-        method="svd", residual=residual, dgt_norm_m=None)
+    product = d_rho @ d_gt
+    x = _m_scaled(m, product)
+    x.blocks *= -dt
+    x.blocks[:, x.reach] += np.eye(space.nodes_per_cell)
+    lam = np.linalg.eigvalsh(_gram(x))
+    kappa = float(np.sqrt(lam[-1] / lam[0])) if lam[0] > 0 else float("inf")
+    bound = float(space.n_dofs * np.finfo(float).eps * kappa**2)
+    record = dict(method="gram", residual=residual, dgt_norm_m=None,
+                  gram_error_bound=bound)
+    if bound <= GRAM_RTOL:
+        return kappa, record
+    A = np.eye(space.n_dofs) - dt * product.dense()
+    return weighted_condition_number(A, m), dict(record, method="svd")
 
 
 def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
                   cells=128, alphas=CONDITION_ALPHAS) -> ResultTable:
     """Weighted condition numbers of I - dt L for the scheme variants.
 
-    A dual pair's kappa comes from its closed form, any other pair's from
+    A dual pair's kappa comes from its closed form ("symbol" with no small
+    cell, else "closed_form"), any other pair's from a Gram eigensolve or
     the SVD (_condition_kappa); metadata["kappa"] holds one record per row:
-    its p, pairing and variant, the "method" ("closed_form" or "svd"), the
-    duality residual max|M D^rho + (M D^gt)^T| and dgt_norm_m =
-    ||M^1/2 D^gt M^-1/2||_2 (None for an SVD row).
+    its p, pairing, variant and method, the duality residual
+    max|M D^rho + (M D^gt)^T|, dgt_norm_m = ||M^1/2 D^gt M^-1/2||_2 (None
+    for a non-dual row), and a "symbol" row's circulant_deviation or a
+    "gram" or "svd" row's gram_error_bound.
     """
     table = ResultTable(
         columns=("p", "pairing", "variant", "kappa"),

@@ -14,7 +14,7 @@ import pytest
 import cutdg
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
-from cutdg.operators import (CENTRAL, PAIRINGS, UPWIND, BlockBand,
+from cutdg.operators import (CENTRAL, PAIR_TOL, PAIRINGS, UPWIND, BlockBand,
                              assemble_stabilized, default_eta, mass_diagonal,
                              operator_pair, sbp_residual)
 from cutdg.models import (decay_rate, heat_system, telegraph_system,
@@ -891,29 +891,44 @@ def _svd_roundoff(n, kappa):
 def test_run_condition_takes_the_closed_form_on_every_dual_pair():
     table = run_condition()
     records = table.metadata["kappa"]
-    assert [(r["p"], r["pairing"], r["variant"]) for r in table.rows] == [
-        (r["p"], r["pairing"], r["variant"]) for r in records]
-    # the flow-weighted "mp" pair on a stabilized cell is not dual at p >= 1
-    assert [(r["p"], r["pairing"], r["variant"]) for r in records
-            if r["method"] == "svd"] == [(1, "mp", "dod"), (2, "mp", "dod")]
+    keys = [(r["p"], r["pairing"], r["variant"]) for r in table.rows]
+    assert keys == [(r["p"], r["pairing"], r["variant"]) for r in records]
+    # a mesh with no small cell takes the symbols; the flow-weighted "mp"
+    # pair on a stabilized cell is not dual at p >= 1 and takes the Gram
+    # eigensolve
+    assert [r["method"] for r in records] == [
+        "symbol" if variant == "background"
+        else "gram" if (pairing, variant) == ("mp", "dod") and p >= 1
+        else "closed_form" for p, pairing, variant in keys]
     for row, record in zip(table.rows, records):
         d_rho, d_gt, m, dt = _condition_pair(row["p"], row["pairing"],
                                              row["variant"])
         want = _svd_kappa(d_rho, d_gt, m, dt)
         assert record["residual"] == sbp_residual(m, d_rho, d_gt)
-        if record["method"] == "svd":
-            assert row["kappa"] == want and record["dgt_norm_m"] is None
-        else:
-            assert record["method"] == "closed_form"
+        if record["method"] == "gram":
+            # n u kappa^2 is at least the SVD's own n u kappa
+            assert record["gram_error_bound"] <= experiments.GRAM_RTOL
+            assert record["dgt_norm_m"] is None
             assert row["kappa"] == pytest.approx(
-                want, rel=_svd_roundoff(len(m), want), abs=0)
-            assert row["kappa"] == pytest.approx(
-                1.0 + dt * record["dgt_norm_m"] ** 2, rel=1e-14, abs=0)
+                want, rel=record["gram_error_bound"], abs=0)
+            continue
+        if record["method"] == "symbol":
+            assert record["circulant_deviation"] <= PAIR_TOL
+        assert row["kappa"] == pytest.approx(
+            want, rel=_svd_roundoff(len(m), want), abs=0)
+        assert row["kappa"] == pytest.approx(
+            1.0 + dt * record["dgt_norm_m"] ** 2, rel=1e-14, abs=0)
 
 
-def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_svd(monkeypatch):
+@pytest.mark.parametrize("variant, method", [("background", "gram"),
+                                             ("unstabilized", "svd")])
+def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_gram_or_the_svd(
+        monkeypatch, variant, method):
     # one entry of a dual pair's D^rho moved by 1e-6 max|D^rho| breaks
-    # the duality far above PAIR_TOL: the SVD, not the closed form, holds
+    # the duality far above PAIR_TOL. The background pair (kappa ~ 1.1)
+    # then takes the Gram eigensolve, held to the SVD at its error bound;
+    # the unstabilized one (kappa ~ 1e12) exceeds GRAM_RTOL and takes the
+    # SVD itself
     assemble = experiments.assemble_stabilized
 
     def perturbed(space, kind, eta, weights):
@@ -923,16 +938,85 @@ def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_svd(monkeypatch):
             d.blocks[0, 2, 0, 1] += 1e-6 * np.max(np.abs(d.blocks))
         return d
 
-    alphas = (0.3,)
-    _, record = experiments._condition_kappa(16, 1, "mp", "background", alphas)
-    assert record["method"] == "closed_form"
+    alphas = (1e-7,)
+    _, record = experiments._condition_kappa(16, 1, "mp", variant, alphas)
+    assert record["method"] == {"gram": "symbol", "svd": "closed_form"}[method]
     monkeypatch.setattr(experiments, "assemble_stabilized", perturbed)
-    got, record = experiments._condition_kappa(16, 1, "mp", "background",
-                                               alphas)
-    assert record["method"] == "svd" and record["dgt_norm_m"] is None
-    d_rho, d_gt, m, dt = _condition_pair(1, "mp", "background", 16, alphas)
+    got, record = experiments._condition_kappa(16, 1, "mp", variant, alphas)
+    assert record["method"] == method and record["dgt_norm_m"] is None
+    d_rho, d_gt, m, dt = _condition_pair(1, "mp", variant, 16, alphas)
     d_rho.blocks[0, 2, 0, 1] += 1e-6 * np.max(np.abs(d_rho.blocks))
-    assert got == _svd_kappa(d_rho, d_gt, m, dt)
+    want = _svd_kappa(d_rho, d_gt, m, dt)
+    if method == "svd":
+        assert record["gram_error_bound"] > experiments.GRAM_RTOL
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=record["gram_error_bound"],
+                                    abs=0)
+
+
+@pytest.mark.parametrize("pairing", ["mp", "central"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("cells", [16, 32, 128])
+def test_symbol_kappa_is_the_dense_closed_form(cells, p, pairing):
+    got, record = experiments._condition_kappa(cells, p, pairing,
+                                               "background", ())
+    assert record["method"] == "symbol"
+    _, d_gt, m, dt = _condition_pair(p, pairing, "background", cells, ())
+    sq = np.sqrt(m)
+    B = sq[:, None] * d_gt.dense() / sq[None, :]
+    assert got == pytest.approx(
+        1.0 + dt * np.linalg.eigvalsh(B.T @ B)[-1], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pairing, want", [
+    ("mp", 1.0 + 1.0 / (10 * np.pi)), ("central", 1.0 + 1.0 / (40 * np.pi))])
+@pytest.mark.parametrize("cells", [16, 128, 4096])
+def test_symbol_kappa_at_p0_is_exact(cells, pairing, want):
+    # at p = 0, dt = dx^2 / (40 pi) and B has the symbol (e^{it} - 1) / dx
+    # ("mp", largest at t = pi) or i sin(t) / dx ("central", at t = pi/2),
+    # both on the mesh for cells divisible by 4
+    tracemalloc.start()
+    try:
+        got, record = experiments._condition_kappa(cells, 0, pairing,
+                                                   "background", ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["method"] == "symbol"
+    assert got == pytest.approx(want, rel=0, abs=1e-14)
+    if cells == 4096:
+        # one n x n array of doubles would take 134 MB
+        assert peak < 0.05 * 8 * cells**2, peak
+
+
+@pytest.mark.parametrize("cells", [4, 16])
+def test_gram_band_is_the_dense_gram_matrix(cells):
+    # a stabilized non-dual pair; on 4 background cells (5 cells) the
+    # product's 9 diagonals alias, and so does each Gram band
+    d_rho, d_gt, m, _ = _condition_pair(2, "mp", "dod", cells, (0.3,))
+    sq = np.sqrt(m)
+    for band in (d_gt, d_rho @ d_gt):
+        B = sq[:, None] * band.dense() / sq[None, :]
+        scaled = experiments._m_scaled(m, band)
+        assert np.allclose(scaled.dense(), B, rtol=1e-15, atol=0)
+        # an entry sums at most `terms` products, so each of the two
+        # computations rounds it by at most terms u (|B|^T |B|)
+        scale = np.abs(B).T @ np.abs(B)
+        terms = np.count_nonzero(B, axis=0).max()
+        assert np.all(np.abs(experiments._gram(scaled) - B.T @ B)
+                      <= 2 * terms * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("cells", [3, 7])
+def test_symbol_norm_is_the_norm_of_the_circulant_of_cell_row_zero(cells):
+    # every diagonal nonzero and every cell row different; on 3 cells the
+    # 5 diagonals alias, and dense() sums them as the symbols do
+    shape = (cells, 5, 2, 2)
+    b = np.cos(np.arange(np.prod(shape))).reshape(shape)
+    circulant = BlockBand(np.broadcast_to(b[0], shape).copy()).dense()
+    assert experiments._symbol_norm(b) == pytest.approx(
+        np.linalg.norm(circulant, 2), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("variant", ["background", "unstabilized"])
