@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .experiments import (
+    C_PRE,
     run_convergence,
     run_asymptotic,
     run_condition,
@@ -107,7 +108,10 @@ def _check_asymptotic(table):
         rows = sorted((r for r in table.rows if (r["tableau"], r["p"]) == key),
                       key=lambda r: -r["epsilon"])
         diffs = [r["diff_l2"] for r in rows]
-        if any(b >= a for a, b in zip(diffs, diffs[1:])):
+        # a nan compares false, so it would pass the monotone check
+        if not np.all(np.isfinite(diffs)):
+            failures.append(f"difference not finite for tableau={key[0]} p={key[1]}")
+        elif any(b >= a for a, b in zip(diffs, diffs[1:])):
             failures.append(f"difference not monotone for tableau={key[0]} p={key[1]}")
     return failures
 
@@ -163,7 +167,9 @@ def _check_sbp(table):
 # these, so a flag a study does not read is an argparse error
 _RUNNERS = {
     "convergence": (run_convergence, _check_convergence, (
-        _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
+        # the hyperbolic step has a pre-factor for these degrees only
+        _flag("p", "degrees", _MANY, type=int, choices=sorted(C_PRE)),
+        _flag("pairing", "pairings", _MANY),
         _flag("epsilon", "epsilons", _MANY, type=_zero_to_half,
               help="relaxation parameter in (0, 1/2]"),
         _flag("cells", "cells", _MANY), _flag("alphas", "alphas", _ONE),

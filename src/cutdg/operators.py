@@ -18,7 +18,9 @@ package calls only where a dense algorithm needs the matrix: the
 condition study's eigensolve or SVD, and the implicit-heat step. The
 structure checks of sbp_verify read the blocks. On a mesh of fewer cells
 than a band has diagonals, two diagonals name the same block, and
-dense(), @ and sbp_residual sum them.
+dense(), @ and sbp_residual sum them. Diagonal d of a band holds exactly
+the blocks that diagonal width - 1 - d of its transpose holds, whatever
+the cell count, so one gather transposes any band (_transposed).
 
 The background blocks are the same at every interface and cell, so the
 background form is three broadcast block diagonals, with no loop over
@@ -132,41 +134,27 @@ class BlockBand:
         return out.reshape(cells * k, cells * k)
 
 
-def _folded(band):
+def _folded(blocks):
     """The band's blocks, with each diagonal that names the same blocks as
     an earlier one (a mesh of fewer cells than diagonals) summed into the
     earlier one and zeroed."""
-    cells, width = band.blocks.shape[:2]
+    cells, width = blocks.shape[:2]
     if cells >= width:
-        return band.blocks
-    offsets = (np.arange(width) - band.reach) % cells
-    blocks = np.zeros(band.blocks.shape)
+        return blocks
+    offsets = (np.arange(width) - width // 2) % cells
+    out = np.zeros(blocks.shape)
     for d, offset in enumerate(offsets):
-        blocks[:, np.argmax(offsets == offset)] += band.blocks[:, d]
-    return blocks
-
-
-@functools.lru_cache(maxsize=64)
-def _opposite_diagonals(cells, width):
-    """For each diagonal of a band, the first diagonal of the opposite
-    offset, and whether it aliases an earlier diagonal (cells < width)."""
-    offsets = np.arange(width) - width // 2
-    partner = tuple(int(np.argmax((offsets + o) % cells == 0)) for o in offsets)
-    aliased = tuple(bool(np.argmax(offsets % cells == o % cells) != d)
-                    for d, o in enumerate(offsets))
-    return partner, aliased
+        out[:, np.argmax(offsets == offset)] += blocks[:, d]
+    return out
 
 
 def _transposed(blocks):
-    """Blocks of the transpose of a folded band (see _folded), in the same
-    layout: block (i, d) is the transpose of block (j, d') of the band, for
-    j = i + d - reach and d' the first diagonal of the opposite offset."""
+    """Blocks of the transpose of a band, folded (see _folded): diagonal d
+    of the transpose holds the transposed blocks of diagonal width - 1 - d,
+    on any cell count."""
     cells, width = blocks.shape[:2]
-    partner, aliased = _opposite_diagonals(cells, width)
-    out = blocks[_band_columns(cells, width), partner].swapaxes(-1, -2)
-    # an aliased diagonal holds none of the folded band's blocks
-    out[:, list(aliased)] = 0.0
-    return out
+    return _folded(blocks[_band_columns(cells, width), np.arange(width)[::-1]]
+                   .swapaxes(-1, -2))
 
 
 def lambda_c(p):
@@ -435,7 +423,7 @@ def _mform_sum(mass_diag, a, b):
     algebra forms it."""
     cells, _, k, _ = a.blocks.shape
     m = mass_diag.reshape(cells, 1, k, 1)
-    return m * _folded(a) + _transposed(m * _folded(b))
+    return m * _folded(a.blocks) + _transposed(m * _folded(b.blocks))
 
 
 def sbp_residual(mass_diag, a, b):

@@ -753,6 +753,15 @@ def test_run_convergence_rejects_a_repeated_cell_count():
         run_convergence(**dict(SMALL_CONVERGENCE, cells=(16, 16)))
 
 
+def test_run_convergence_rejects_a_degree_without_a_step_prefactor(
+        monkeypatch):
+    # the hyperbolic step dt = C_PRE[p] / (2p+1) eps dx needs C_PRE[p]
+    calls = _count_calls(monkeypatch, "_build_case")
+    with pytest.raises(ValueError, match=r"C_PRE's \[0, 1, 2\], got \(1, 3\)"):
+        run_convergence(**dict(SMALL_CONVERGENCE, degrees=(1, 3)))
+    assert calls == []  # raised before any assembly
+
+
 def test_run_asymptotic_records_steps_per_case():
     table = run_asymptotic(**dict(SMALL_ASYMPTOTIC, degrees=(0, 1),
                                   t_final=0.2))
@@ -1413,6 +1422,26 @@ def test_asymptotic_check_orders_by_epsilon_and_fails_a_non_monotone_table():
     assert "not monotone for tableau=ARS443 p=1" in failure
 
 
+def test_asymptotic_check_fails_a_nan_difference():
+    # nan >= x is false, so a monotone check alone would pass this table
+    with_nan = [(1e-1, 1e-2), (1e-2, float("nan")), (1e-3, 1e-6)]
+    (failure,) = cli._check_asymptotic(_asymptotic_table(with_nan))
+    assert "not finite for tableau=ARS443 p=1" in failure
+
+
+def test_cli_asymptotic_fails_an_unstable_degree_without_a_traceback(capsys):
+    # at p = 3 the explicit heat-limit step at parabolic_dt blows up under
+    # both tableaux: each row of the case is nan, and the check fails it
+    assert cli.main(["asymptotic", "--p", "3", "--epsilon", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "ARS443,3,0.10000000000000001,nan,stable_ars_step",
+        "SSP2-332,3,0.10000000000000001,nan,imex_step"]
+    assert err.splitlines() == [
+        f"FAIL: difference not finite for tableau={tab} p=3"
+        for tab in ("ARS443", "SSP2-332")]
+
+
 @pytest.mark.parametrize("command, flag, values", [
     ("convergence", "--tableau", ("ARS443", "SSP2-332")),
     ("asymptotic", "--cells", ("8", "16")),
@@ -1475,6 +1504,9 @@ def test_cli_rejects_a_flag_the_study_does_not_read(command, flag, value,
     ("sbp-check --cells 3 --p 0", "argument --cells: must be an integer >= 4"),
     ("heat-implicit --p 11 --cells 16 --tfinal 0",
      "argument --p: must be an integer in 0..10"),
+    # the convergence study's hyperbolic step has a pre-factor for p <= 2
+    ("convergence --p 3 --cells 16 --cells 32",
+     "argument --p: invalid choice: 3 (choose from 0, 1, 2)"),
 ])
 def test_cli_rejects_a_mesh_or_degree_out_of_range(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -39,6 +39,7 @@ from cutdg.operators import (
     split_dissipation,
     symmetrize_upwind_pair,
     _add_local,
+    _transposed,
 )
 from cutdg.sbp_verify import DISSIPATION_TOL, DUALITY_TOL, check_upwind_sbp
 
@@ -703,6 +704,31 @@ def test_band_products_equal_the_dense_products(cells, k):
     ab = a @ b
     assert ab.reach == 4
     assert np.max(np.abs(ab.dense() - A @ B)) <= 1e-14 * np.max(np.abs(A @ B)) * n
+
+
+# every cell count from 1, where all diagonals name one block, past 17,
+# where none alias
+@pytest.mark.parametrize("width", [1, 3, 5, 9, 17])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transposed_band_equals_the_dense_transpose(width, k):
+    rng = np.random.default_rng(width * 10 + k)
+    for cells in range(1, 21):
+        # an unfolded band: every diagonal nonzero, aliased ones too
+        blocks = rng.standard_normal((cells, width, k, k))
+        want = BlockBand(blocks).dense().T
+        got = BlockBand(_transposed(blocks)).dense()
+        # the most diagonals that name one block
+        aliases = -(-width // cells)
+        if aliases <= 2:
+            assert np.array_equal(got, want), cells
+        else:
+            # dense() sums the aliases in diagonal order, the transpose in
+            # reversed order; each sum rounds within (aliases - 1) u
+            # sum|blocks| of the exact one, and on these draws the two
+            # differ by at most 1.4 u sum|blocks|
+            scale = BlockBand(np.abs(blocks)).dense().T
+            bound = (aliases - 1) * np.finfo(float).eps * scale
+            assert np.all(np.abs(got - want) <= bound), cells
 
 
 @pytest.mark.parametrize("cells", [4, 5])
