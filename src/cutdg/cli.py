@@ -2,8 +2,9 @@
 
 Subcommands: convergence, asymptotic, condition, heat-implicit, sbp-check.
 Each takes the flags its study reads plus --out, --format and --seed,
-which no study reads, runs its study, writes/prints the result table,
-checks the study's own assertions, and exits non-zero if any fails.
+runs its study, writes/prints the result table, checks the study's own
+assertions, and exits non-zero if any fails. --seed is part of the call
+convention, like --out and --format; no study reads it.
 """
 
 import argparse
@@ -63,21 +64,14 @@ _OPTIONS = {
     "alphas": dict(type=_zero_to_half, nargs="+", help="cut fractions"),
     "tfinal": dict(type=_non_negative_time, help="final time"),
     "tableau": dict(choices=("ARS443", "SSP2-332"), help="IMEX tableau"),
-    "seed": dict(type=int, help="accepted for a shared call convention;"
-                                " no study reads it"),
 }
 
 
 def _flag(flag, keyword, arity, **options):
-    """(flag, runner keyword, arity, argparse options) of one study flag;
-    keyword None marks a flag the study accepts but does not read."""
+    """(flag, runner keyword, arity, argparse options) of one study flag."""
     options = {**_OPTIONS[flag], **options}
     options["help"] += f" ({arity})"
     return flag, keyword, arity, options
-
-
-# every study takes --seed, so one call convention serves all five
-_UNREAD_SEED = _flag("seed", None, _ONE)
 
 
 def _check_convergence(table):
@@ -173,27 +167,24 @@ _RUNNERS = {
         _flag("epsilon", "epsilons", _MANY, type=_zero_to_half,
               help="relaxation parameter in (0, 1/2]"),
         _flag("cells", "cells", _MANY), _flag("alphas", "alphas", _ONE),
-        _flag("tfinal", "t_final", _ONE), _flag("tableau", "tableau", _ONE),
-        _UNREAD_SEED)),
+        _flag("tfinal", "t_final", _ONE), _flag("tableau", "tableau", _ONE))),
     "asymptotic": (run_asymptotic, _check_asymptotic, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairing", _ONE),
         _flag("epsilon", "epsilons", _MANY), _flag("cells", "cells", _ONE),
         _flag("alphas", "alphas", _ONE), _flag("tfinal", "t_final", _ONE),
-        _flag("tableau", "tableaux", _MANY), _UNREAD_SEED)),
+        _flag("tableau", "tableaux", _MANY))),
     "condition": (run_condition, _check_condition, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
-        _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE),
-        _UNREAD_SEED)),
+        _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE))),
     "heat-implicit": (run_heat_implicit, _check_heat_implicit, (
         _flag("p", "p", _ONE), _flag("pairing", "pairing", _ONE),
         _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE),
-        _flag("tfinal", "t_final", _ONE), _UNREAD_SEED)),
+        _flag("tfinal", "t_final", _ONE))),
     "sbp-check": (run_sbp_report, _check_sbp, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
         _flag("epsilon", "epsilon", _ONE), _flag("cells", "cells", _ONE),
         _flag("alphas", "alphas", _ONE, type=_small_cut,
-              help="cut fractions in (0, 1/2)"),
-        _UNREAD_SEED)),
+              help="cut fractions in (0, 1/2)"))),
 }
 
 
@@ -209,6 +200,9 @@ def _parser():
             s.add_argument(f"--{flag}", action="append", **options)
         s.add_argument("--out", default="")
         s.add_argument("--format", choices=("csv", "json"), default="csv")
+        s.add_argument("--seed", type=int,
+                       help="accepted for a shared call convention; no study"
+                            " reads it")
     return p
 
 
@@ -228,8 +222,7 @@ def _runner_kwargs(parser, args, flags):
             # a repeated value adds no case, only rows that an order or
             # the monotonicity check would compare with themselves
             parser.error(f"{args.command}: --{flag} values must be distinct")
-        if keyword is not None:
-            kwargs[keyword] = values
+        kwargs[keyword] = values
     return kwargs
 
 

@@ -684,8 +684,6 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
         space, ops = _build_case(cells, p, alphas, pairing, variant)
         # the implicit steps solve with I - dt/2 L: L is densified once
         L, mass_diag = heat_system(ops).dense(), ops.mass_diag
-        # drop the OperatorSet so only L outlives the assembly
-        del ops
         dt = space.mesh.background_dx / (10.0 * (2 * p + 1))
         n_full, rem = _step_count(t_final, dt)
         rho = project(space, np.cos)

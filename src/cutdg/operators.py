@@ -41,7 +41,7 @@ assembled. split_dissipation splits its m-form into the central m-form
 Bz = M Dz and the dissipation S = sym(M (D^- - Dz)), and builds S from its
 local pieces: a block-circulant background part and one symmetric
 3(p+1) x 3(p+1) block per small cell. symmetrize_upwind_pair then forms
-Dz and the pair in the buffers of Bz and S plus one new band.
+Dz and the pair as new bands, leaving Bz and S as they were.
 Every form is affine in the flux coefficients (H_a, H_b), which sum to 1,
 so the stabilized downwind operator is 2 Dz - D^- up to roundoff and is not
 assembled either. At p = 0 the stabilized pair is already dual, and the
@@ -188,15 +188,6 @@ def mass_diagonal(space: DGSpace):
     return (space.ref_weights[None, :] * (h[:, None] / 2.0)).reshape(-1)
 
 
-def _ref_traces(space):
-    """Reference basis values at the cell ends: rows for -1 and +1.
-
-    Evaluated at the exact reference coordinates; mapping a physical vertex
-    back to reference would lose precision on very small cells.
-    """
-    return space.basis_at_ref([-1.0, 1.0])
-
-
 def _extended_basis(space, j, x):
     """Cell j's basis, extended beyond the cell, at physical points x.
 
@@ -213,7 +204,9 @@ def _interface_blocks(space, ha, hb):
 
     Returns the blocks (i, i), (i, i+1), (i+1, i) and (i+1, i+1).
     """
-    left, right = _ref_traces(space)
+    # the basis at the exact reference ends -1 and +1: mapping a physical
+    # vertex back to reference would lose precision on very small cells
+    left, right = space.basis_at_ref([-1.0, 1.0])
     rr = np.outer(right, ha * right)
     rl = np.outer(right, hb * left)
     lr = np.outer(-left, ha * right)
@@ -273,7 +266,7 @@ def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
     ha, hb = _flux_coeffs(kind)
     n = mesh.n_cells
     cm, cp = (c - 1) % n, (c + 1) % n
-    left, right = _ref_traces(space)
+    left, right = space.basis_at_ref([-1.0, 1.0])  # see _interface_blocks
     zero = np.zeros(space.nodes_per_cell)
     # u_{c+1} extended to the left end of E_c, u_{c-1} to its right end
     ext_p = _extended_basis(space, cp, mesh.vertices[c])[0]
@@ -447,17 +440,17 @@ def dissipation_blocks(mass_diag, diff):
 
 
 def symmetrize_upwind_pair(bz, s, mass_diag):
-    """The symmetrized upwind pair D^{+/-,symm} = Dz -/+ M^{-1} S, formed in
-    place; returns the bands (Dz, D^+, D^-).
+    """The symmetrized upwind pair D^{+/-,symm} = Dz -/+ M^{-1} S; returns
+    the new bands (Dz, D^+, D^-) and leaves bz and s unchanged.
 
     bz = M Dz and s = S are the central m-form and the symmetric dissipation
-    of split_dissipation. A roundoff ridge is added to the diagonal of S;
-    then D^- = (Bz + S) / M goes to new blocks, D^+ = (Bz - S) / M to s's
-    blocks and Dz = Bz / M to bz's. All algebra happens on the M-weighted
-    blocks so small-cell rows do not amplify roundoff, and each entry is
-    computed as the n x n algebra would compute it. The pair satisfies
-    M D^+ + (D^-)^T M = 0, which sbp_residual checks (a NaN fails it), and
-    makes M (D^+ - D^-) negative semidefinite.
+    of split_dissipation. A roundoff ridge is added to the diagonal of a
+    copy of S; then D^- = (Bz + S) / M, D^+ = (Bz - S) / M and Dz = Bz / M.
+    All algebra happens on the M-weighted blocks so small-cell rows do not
+    amplify roundoff, and each entry is computed as the n x n algebra
+    would compute it. The pair satisfies M D^+ + (D^-)^T M = 0, which
+    sbp_residual checks (a NaN fails it), and makes M (D^+ - D^-)
+    negative semidefinite.
     """
     # roundoff-scaled ridge: the division by M and re-multiplication in the
     # structure checks perturb entries by eps * |B|; shifting the symmetric
@@ -466,14 +459,13 @@ def symmetrize_upwind_pair(bz, s, mass_diag):
     bz_max = np.max(np.abs(bz.blocks))
     mu = 32.0 * np.finfo(float).eps * max(bz_max, np.max(np.abs(s.blocks)))
     k = bz.blocks.shape[-1]
-    s.blocks[:, s.reach, np.arange(k), np.arange(k)] += mu
+    # copied in the row layout, which BlockBand takes without a copy
+    ridged = s.blocks.copy(order="K")
+    ridged[:, s.reach, np.arange(k), np.arange(k)] += mu
     m = mass_diag.reshape(-1, 1, k, 1)
-    dm = np.add(bz.blocks, s.blocks)
-    dm /= m
-    dp = np.subtract(bz.blocks, s.blocks, out=s.blocks)
-    dp /= m
-    dz = np.divide(bz.blocks, m, out=bz.blocks)
-    dz, dp, dm = BlockBand(dz), BlockBand(dp), BlockBand(dm)
+    dz = BlockBand(bz.blocks / m)
+    dp = BlockBand((bz.blocks - ridged) / m)
+    dm = BlockBand((bz.blocks + ridged) / m)
     if not sbp_residual(mass_diag, dp, dm) <= PAIR_TOL * max(bz_max, 1.0):
         raise RuntimeError("symmetrized pair fails the duality identity")
     return dz, dp, dm

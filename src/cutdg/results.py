@@ -74,15 +74,12 @@ class ResultTable:
         for chunk in self._text_rows(_csv_cells):
             yield from map(",".join, chunk)
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.writelines(line + "\n" for line in self.csv_lines())
-
     def write(self, path, fmt):
         """Write the table as CSV or as JSON; the JSON text is json.dumps
         of the metadata and of the rows as dicts."""
         if fmt == "csv":
-            self.to_csv(path)
+            with open(path, "w") as fh:
+                fh.writelines(line + "\n" for line in self.csv_lines())
         elif fmt == "json":
             row = "{%s}" % ", ".join(
                 json.dumps(c).replace("%", "%%") + ": %s" for c in self.columns)

@@ -139,7 +139,7 @@ def test_result_table_csv_roundtrip(tmp_path):
     t = ResultTable(columns=("name", "value"))
     t.add(name="x", value=1.0 / 3.0)
     path = tmp_path / "t.csv"
-    t.to_csv(path)
+    t.write(path, "csv")
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "name,value"
     name, value = lines[1].split(",")
@@ -964,6 +964,20 @@ def test_condition_kappa_of_a_perturbed_dual_pair_takes_the_gram_or_the_svd(
                                     abs=0)
 
 
+def test_condition_kappa_of_the_p5_flow_pair_takes_the_svd():
+    # the one CLI row found to take the SVD: at p = 5 (and N = 128 at
+    # p = 4) the flow-weighted "mp" dod row's n u kappa^2 exceeds
+    # GRAM_RTOL. Its kappa, ~1.35e4, also fails the condition check's
+    # bound of 100, as the central pair's ~1.44e4 does: lambda_c is not
+    # tuned for p >= 4 (ROADMAP items 1 and 2)
+    alphas = experiments.CONDITION_ALPHAS
+    got, record = experiments._condition_kappa(16, 5, "mp", "dod", alphas)
+    assert record["method"] == "svd"
+    assert record["gram_error_bound"] > experiments.GRAM_RTOL
+    assert got == _svd_kappa(*_condition_pair(5, "mp", "dod", 16, alphas))
+    assert got > 100.0
+
+
 @pytest.mark.parametrize("pairing", ["mp", "central"])
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 @pytest.mark.parametrize("cells", [16, 32, 128])
@@ -1264,6 +1278,29 @@ def test_sbp_check_loads_no_random_generator(tmp_path):
                          env={**os.environ, "PYTHONPATH": path})
     assert run.stdout.splitlines()[-1] == "0 False", run.stdout
     assert "seed" not in json.loads(out.read_text())["metadata"]["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    "convergence --p 0 --cells 8 --cells 16 --alphas 0.3 --tfinal 0",
+    "asymptotic --p 0 --cells 8 --alphas 0.3 --tfinal 0",
+    "condition --p 0 --cells 8 --alphas 0.3",
+    "heat-implicit --cells 8 --alphas 0.3 --tfinal 0",
+    "sbp-check --p 0 --cells 8 --alphas 0.3",
+])
+def test_every_study_accepts_a_seed_and_reads_none(argv, tmp_path, capsys):
+    # --seed belongs to the call convention, like --out and --format: a
+    # study's JSON (but its timestamp), checks and exit code are the same
+    # with or without it
+    runs = []
+    for seed in ([], ["--seed", "3"], ["--seed", "0", "--seed", "1"]):
+        out = tmp_path / f"{len(runs)}.json"
+        code = cli.main([*argv.split(), *seed, "--format", "json",
+                         "--out", str(out)])
+        table = json.loads(out.read_text())
+        del table["metadata"]["timestamp"]
+        runs.append((code, table, capsys.readouterr().err))
+    assert runs[1:] == runs[:1] * 2
+    assert "seed" not in runs[0][1]["metadata"]["config"]
 
 
 def test_run_sbp_report_rejects_a_cut_without_a_small_cell():

@@ -450,11 +450,24 @@ def test_symmetrize_rejects_broken_input():
     # the background pair is already dual: the symmetrized D^- is D^-
     dm = assemble_background_mform(space, UPWIND).dense() / md[:, None]
     scale = np.max(np.abs(bz.blocks))
-    _, _, dm_symm = symmetrize_upwind_pair(bz, BlockBand(s.blocks.copy()), md)
+    _, _, dm_symm = symmetrize_upwind_pair(bz, s, md)
     assert np.max(np.abs(md[:, None] * (dm_symm.dense() - dm))) <= 1e-13 * scale
     # a central part that is not skew under M breaks the duality
     with pytest.raises(RuntimeError, match="duality"):
         symmetrize_upwind_pair(broken, s, md)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("cuts", MESH_CASES)
+def test_symmetrize_leaves_its_inputs_unchanged(p, cuts):
+    space = make_space(p, cuts)
+    bz, s = split_dissipation(space, default_eta(space))
+    before = bz.blocks.tobytes(), s.blocks.tobytes()
+    pair = symmetrize_upwind_pair(bz, s, mass_diagonal(space))
+    assert (bz.blocks.tobytes(), s.blocks.tobytes()) == before
+    # and no band of the pair is a view of an input
+    assert not any(np.shares_memory(out.blocks, band.blocks)
+                   for out in pair for band in (bz, s))
 
 
 def test_symmetrize_rejects_a_nan():
