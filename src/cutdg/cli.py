@@ -171,7 +171,9 @@ _RUNNERS = {
     "asymptotic": (run_asymptotic, _check_asymptotic, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairing", _ONE),
         _flag("epsilon", "epsilons", _MANY), _flag("cells", "cells", _ONE),
-        _flag("alphas", "alphas", _ONE), _flag("tfinal", "t_final", _ONE),
+        _flag("alphas", "alphas", _ONE),
+        # at t = 0 every telegraph-heat difference the check compares is 0
+        _flag("tfinal", "t_final", _ONE, type=_positive, help="final time > 0"),
         _flag("tableau", "tableaux", _MANY))),
     "condition": (run_condition, _check_condition, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),

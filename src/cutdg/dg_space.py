@@ -3,7 +3,9 @@
 Each cell carries a Lagrange basis at p+1 Gauss-Legendre nodes, so the
 local mass matrix is diagonal and the reference quadrature is exact for
 polynomials up to degree 2p+1. Polynomials extend naturally beyond their
-own cell (barycentric evaluation works for any reference coordinate).
+own cell (barycentric evaluation works for any reference coordinate);
+DGSpace.basis_at evaluates them at each point's periodic image nearest the
+cell, so a neighbor's extension into a small cell crosses the boundary.
 """
 
 import functools
@@ -94,40 +96,24 @@ class DGSpace:
     def n_dofs(self) -> int:
         return self.mesh.n_cells * (self.degree + 1)
 
-    def dofs(self, i: int):
-        """Global dof slice of cell i (periodic index)."""
-        i = i % self.mesh.n_cells
-        k = self.degree + 1
-        return slice(i * k, (i + 1) * k)
-
-    def to_reference(self, i, x):
-        """Map physical coordinates into the reference frame of cell i."""
-        xl, xr = self.mesh.cell_bounds(i)
-        return (2.0 * np.asarray(x) - (xl + xr)) / (xr - xl)
-
-    def wrap_near(self, i, x):
-        """Shift x by multiples of the period into the chart nearest cell i.
-
-        Needed when a stencil wraps around the periodic boundary: the
-        neighbor polynomial must be evaluated at the periodic image of x
-        closest to its own cell, not at the far end of the domain.
-        """
-        length = self.mesh.domain_right - self.mesh.domain_left
-        center = self.mesh.cell_center(i)
-        return np.asarray(x) - length * np.round((np.asarray(x) - center) / length)
-
     def basis_at_ref(self, r):
         """Values of the reference basis at reference coordinates r."""
         return lagrange_eval(self.ref_nodes, self.bary_weights, r)
 
     def basis_at(self, i, x):
-        """Values of cell i's basis at physical points x (shape (nx, p+1))."""
-        return self.basis_at_ref(self.to_reference(i, x))
+        """Values of cell i's basis, extended beyond the cell, at the
+        periodic images of points x nearest cell i (shape (nx, p+1))."""
+        xl, xr = self.mesh.cell_bounds(i)
+        length = self.mesh.domain_right - self.mesh.domain_left
+        x = np.asarray(x)
+        x = x - length * np.round((x - 0.5 * (xl + xr)) / length)
+        return self.basis_at_ref((2.0 * x - (xl + xr)) / (xr - xl))
 
-    def cell_weights(self, i):
-        """Physical quadrature weights of cell i (the diagonal mass block)."""
-        h = self.mesh.cell_sizes[i % self.mesh.n_cells]
-        return self.ref_weights * (h / 2.0)
+
+def _cell_points(mesh, r):
+    """Reference points r mapped into every cell, shape (n_cells, len(r))."""
+    centers = 0.5 * (mesh.vertices[:-1] + mesh.vertices[1:])
+    return centers[:, None] + 0.5 * mesh.cell_sizes[:, None] * r[None, :]
 
 
 def build_space(mesh: CutCellMesh, p: int) -> DGSpace:
@@ -138,8 +124,6 @@ def build_space(mesh: CutCellMesh, p: int) -> DGSpace:
         raise ValueError(f"degree {p} exceeds practical cap {MAX_DEGREE}")
     ref_nodes, ref_weights = gauss_legendre(p + 1)
     bary = barycentric_weights(ref_nodes)
-    centers = 0.5 * (mesh.vertices[:-1] + mesh.vertices[1:])
-    nodes = centers[:, None] + 0.5 * mesh.cell_sizes[:, None] * ref_nodes[None, :]
     return DGSpace(
         mesh=mesh,
         degree=int(p),
@@ -147,7 +131,7 @@ def build_space(mesh: CutCellMesh, p: int) -> DGSpace:
         ref_weights=ref_weights,
         bary_weights=bary,
         ref_diff=differentiation_matrix(ref_nodes, bary),
-        nodes=nodes,
+        nodes=_cell_points(mesh, ref_nodes),
     )
 
 
@@ -166,11 +150,8 @@ def l2_error(space: DGSpace, u, exact):
     """
     qn, qw = gauss_legendre(space.degree + L2_EXTRA_POINTS)
     uh = np.asarray(u).reshape(space.mesh.n_cells, -1) @ space.basis_at_ref(qn).T
-    v = space.mesh.vertices
-    h = v[1:] - v[:-1]
-    xq = 0.5 * (v[:-1] + v[1:])[:, None] + 0.5 * h[:, None] * qn[None, :]
-    diff = uh - exact(xq)
-    return float(np.sqrt(np.dot(0.5 * h, (diff * diff) @ qw)))
+    diff = uh - exact(_cell_points(space.mesh, qn))
+    return float(np.sqrt(np.dot(0.5 * space.mesh.cell_sizes, (diff * diff) @ qw)))
 
 
 def l2_norm_of_vector(space: DGSpace, u, mass_diag):

@@ -128,13 +128,19 @@ def _union(*patterns):
     return np.minimum(sum(patterns), 1.0)
 
 
-def _pattern_band(fields, ops, pattern):
-    """StepBand of a step of cell pattern `pattern` on `fields` fields: its
-    reach is the largest cyclic cell distance of a 1 in the pattern."""
-    cells = len(pattern)
+def _cyclic_distance(cells):
+    """Cells x cells matrix of the cyclic distance between cells i and j."""
     d = np.subtract.outer(np.arange(cells), np.arange(cells)) % cells
-    return StepBand(fields, cells, ops.space.nodes_per_cell,
-                    int(np.max(np.minimum(d, cells - d) * pattern)))
+    return np.minimum(d, cells - d)
+
+
+def _pattern_band(fields, A, pattern):
+    """StepBand of a step of cell pattern `pattern` on `fields` fields of
+    the band A's cells: its reach is the largest cyclic cell distance of a
+    1 in the pattern."""
+    cells = len(pattern)
+    return StepBand(fields, cells, A.blocks.shape[-1],
+                    int(np.max(_cyclic_distance(cells) * pattern)))
 
 
 def _stepper_for(tab):
@@ -161,17 +167,17 @@ def _telegraph_band(ops, tab):
         gt = _union(gt, p_diff @ gt, p_gt @ rho)
     if implicit_first:
         rho, gt = _union(one, p_rho @ gt), _union(gt, p_diff @ gt, p_gt @ rho)
-    return _pattern_band(2, ops, _union(rho, gt))
+    return _pattern_band(2, ops.d_rho, _union(rho, gt))
 
 
-def _heat_band(ops, L, tab):
-    """StepBand of one explicit_limit_step of L = heat_system(ops): each
-    stage up to the last one the output weighs applies L once more."""
+def _heat_band(L, tab):
+    """StepBand of one explicit_limit_step of the band L = heat_system(ops):
+    each stage up to the last one the output weighs applies L once more."""
     p_l = _cell_pattern(L)
     pattern = np.eye(len(p_l))
     for _ in range(np.flatnonzero(tab.b_expl)[-1] + 1):
         pattern = _union(pattern, p_l @ pattern)
-    return _pattern_band(1, ops, pattern)
+    return _pattern_band(1, L, pattern)
 
 
 def _telegraph_action(system, tab):
@@ -239,27 +245,22 @@ def linear_step_matrix(apply_step, band):
     S = np.take(apply_step(probes), probe, axis=1)
     # far[i, (j, b)]: row cell i lies more than reach cells from column
     # cell j; a whole cell of column nodes per row keeps the inner loop long
-    d = np.subtract.outer(np.arange(cells), np.arange(cells)) % cells
-    far = np.repeat((d > reach) & (d < cells - reach), nodes, axis=1)
+    far = np.repeat(_cyclic_distance(cells) > reach, nodes, axis=1)
     np.copyto(S.reshape(fields, cells, nodes, fields, cells * nodes), 0.0,
               where=far[:, None, None, :])
     return S
 
 
-def _check_time_span(t_final, dt=None):
-    """Reject a final time that is negative or not finite, and a step that
-    is not positive: a negative step count has no forward power and would
-    never end the binary powering loop."""
-    if not (np.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
-    if dt is not None and not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-
-
 def _step_count(t_final, dt):
     """Number of full steps of dt in [0, t_final] and the closing step
-    length (0.0 when t_final is a whole number of steps)."""
-    _check_time_span(t_final, dt)
+    length (0.0 when t_final is a whole number of steps). Rejects a final
+    time that is negative or not finite, and a step that is not positive:
+    a negative step count has no forward power and would never end the
+    binary powering loop."""
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     n_full = int(np.floor(t_final / dt + 1e-12))
     rem = t_final - n_full * dt
     return n_full, (rem if rem > 1e-12 * dt else 0.0)
@@ -342,7 +343,7 @@ def _integrate_heat_explicit(ops, tab, t_final, dt, rho0):
     limit rho_t = L rho, L = heat_system(ops)."""
     L = heat_system(ops)
     return propagate(lambda u, h: explicit_limit_step(L, tab, u, h),
-                     rho0, t_final, dt, _heat_band(ops, L, tab))
+                     rho0, t_final, dt, _heat_band(L, tab))
 
 
 def _record_steps(table, t_final, dt, band, **case):
@@ -678,7 +679,6 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
         columns=("variant", "t", "max_abs_rho", "norm_rho", "status"),
         metadata=_metadata(locals()),
     )
-    _check_time_span(t_final)
     blow_up = 1e6
     for variant in VARIANTS:
         space, ops = _build_case(cells, p, alphas, pairing, variant)

@@ -25,7 +25,6 @@ class CutCellMesh:
 
     domain_left: float
     domain_right: float
-    n_background: int
     vertices: np.ndarray
     cell_sizes: np.ndarray
     background_dx: float
@@ -38,10 +37,6 @@ class CutCellMesh:
     def cell_bounds(self, i: int):
         i = i % self.n_cells
         return self.vertices[i], self.vertices[i + 1]
-
-    def cell_center(self, i: int) -> float:
-        xl, xr = self.cell_bounds(i)
-        return 0.5 * (xl + xr)
 
 
 def build_cut_cell_mesh(domain_left, domain_right, n_background, cuts=()):
@@ -108,7 +103,6 @@ def build_cut_cell_mesh(domain_left, domain_right, n_background, cuts=()):
     return CutCellMesh(
         domain_left=float(domain_left),
         domain_right=float(domain_right),
-        n_background=int(n_background),
         vertices=vertices,
         cell_sizes=cell_sizes,
         background_dx=dx,

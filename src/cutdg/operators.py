@@ -29,7 +29,10 @@ over interfaces would sum them (see assemble_background_mform), so it
 equals that per-interface sum bitwise. Each small-cell form returns only
 its local block, the 3(p+1) x 3(p+1) coupling of cells (c-1, c, c+1), and
 assemble_stabilized adds the flux block and then the volume block of each
-small cell, in mesh order, into the background band (_add_local).
+small cell, in mesh order, into the background band (_add_local). The
+small-cell forms evaluate the neighbor polynomials extended into the small
+cell by DGSpace.basis_at, which takes the periodic image nearest each
+neighbor, and weigh the small cell's quadrature by mass_diagonal.
 
 assemble_stabilized builds the stabilized derivative of one flux kind,
 background plus small-cell corrections, directly as defined; with central
@@ -188,15 +191,6 @@ def mass_diagonal(space: DGSpace):
     return (space.ref_weights[None, :] * (h[:, None] / 2.0)).reshape(-1)
 
 
-def _extended_basis(space, j, x):
-    """Cell j's basis, extended beyond the cell, at physical points x.
-
-    The points are shifted into the periodic chart nearest cell j, so
-    wrap-around stencils evaluate the correct periodic image.
-    """
-    return space.basis_at(j, space.wrap_near(j, x))
-
-
 def _interface_blocks(space, ha, hb):
     """The four (p+1) x (p+1) blocks one interface adds for flux
     coefficients (ha, hb): H(u_i, u_{i+1}) [[w]] at x_{i+1/2}, with the test
@@ -269,8 +263,8 @@ def assemble_dod_flux_mform(space: DGSpace, c, kind, eta_c):
     left, right = space.basis_at_ref([-1.0, 1.0])  # see _interface_blocks
     zero = np.zeros(space.nodes_per_cell)
     # u_{c+1} extended to the left end of E_c, u_{c-1} to its right end
-    ext_p = _extended_basis(space, cp, mesh.vertices[c])[0]
-    ext_m = _extended_basis(space, cm, mesh.vertices[c + 1])[0]
+    ext_p = space.basis_at(cp, mesh.vertices[c])[0]
+    ext_m = space.basis_at(cm, mesh.vertices[c + 1])[0]
     # test rows and trial columns on cells (c-1, c, c+1)
     # interface c-1/2: H(u_{c-1}, u_{c+1}) - H(u_{c-1}, u_c); the u_{c-1}
     # contributions cancel, leaving the b-slot difference
@@ -308,11 +302,11 @@ def assemble_dod_volume_mform(space: DGSpace, c, kind, eta_c, L_c=0.5, R_c=0.5):
     ha, hb = _flux_coeffs(kind)
     K = (L_c, -1.0, R_c)
     slot = (ha, 0.0, hb)  # weight of each cell's u in H(u_{c-1}, u_{c+1})
-    wq = space.cell_weights(c)
+    wq = mass_diagonal(space).reshape(n, k)[c]
     # basis values of each cell at the quadrature points of E_c; the small
     # cell's own basis is the identity at its nodes (collocation)
-    E = [np.eye(k) if j == c
-         else _extended_basis(space, j, space.nodes[c]) for j in cells]
+    E = [np.eye(k) if j == c else space.basis_at(j, space.nodes[c])
+         for j in cells]
     # weighted test derivatives dx(w_j)^T diag(wq); dx(w_j) has degree p-1,
     # so interpolating its nodal values is exact
     GW = [(e @ space.ref_diff * (2.0 / mesh.cell_sizes[j])).T * wq

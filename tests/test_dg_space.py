@@ -14,6 +14,7 @@ from cutdg.dg_space import (
     l2_norm_of_vector,
 )
 from cutdg.operators import mass_diagonal
+from test_operators import cell_dofs
 
 
 @pytest.fixture
@@ -66,8 +67,8 @@ def test_differentiation_matrix_exact_on_polynomials(p):
 def test_space_layout(cut_space):
     assert cut_space.nodes_per_cell == 3
     assert cut_space.n_dofs == 9 * 3
-    assert cut_space.dofs(2) == slice(6, 9)
-    assert cut_space.dofs(-1) == cut_space.dofs(8)
+    assert cell_dofs(cut_space, 2) == slice(6, 9)
+    assert cell_dofs(cut_space, -1) == cell_dofs(cut_space, 8)
     # nodes stay inside their cells
     for i in range(cut_space.mesh.n_cells):
         xl, xr = cut_space.mesh.cell_bounds(i)
@@ -85,8 +86,33 @@ def test_extension_extrapolates_linearly():
     space = build_space(mesh, 1)
     u = project(space, lambda x: x)
     # cell 1 covers [1, 2]; its linear polynomial extended to x = 3.5 is 3.5
-    (value,) = space.basis_at(1, 3.5) @ u[space.dofs(1)]
+    (value,) = space.basis_at(1, 3.5) @ u[cell_dofs(space, 1)]
     assert value == pytest.approx(3.5, rel=1e-13)
+
+
+def test_basis_at_takes_the_periodic_image_nearest_the_cell(cut_space):
+    # a point one period to either side is the same point of the periodic
+    # domain: each cell's basis, extended over its neighbors' nodes, must
+    # not change (the shift itself rounds x by ~1e-16 of the period)
+    length = cut_space.mesh.domain_right - cut_space.mesh.domain_left
+    n = cut_space.mesh.n_cells
+    for i in range(n):
+        x = cut_space.nodes[[(i - 1) % n, i, (i + 1) % n]].reshape(-1)
+        want = cut_space.basis_at(i, x)
+        for shift in (-length, length):
+            got = cut_space.basis_at(i, x + shift)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_basis_at_inside_the_cell_is_the_reference_basis(cut_space):
+    # no shift applies inside the cell, so the values are bitwise those of
+    # the reference coordinate
+    for i in range(cut_space.mesh.n_cells):
+        xl, xr = cut_space.mesh.cell_bounds(i)
+        x = np.concatenate((cut_space.nodes[i], [xl, 0.3 * xl + 0.7 * xr, xr]))
+        r = (2.0 * x - (xl + xr)) / (xr - xl)
+        assert np.array_equal(cut_space.basis_at(i, x),
+                              cut_space.basis_at_ref(r))
 
 
 def test_l2_norm_of_vector_matches_quadrature(cut_space):
@@ -116,7 +142,7 @@ def _l2_error_cell_loop(space, u, exact):
         xl, xr = space.mesh.cell_bounds(i)
         h = xr - xl
         xq = 0.5 * (xl + xr) + 0.5 * h * qn
-        uh = space.basis_at(i, xq) @ u[space.dofs(i)]
+        uh = space.basis_at(i, xq) @ u[cell_dofs(space, i)]
         diff = uh - exact(xq)
         total += 0.5 * h * np.dot(qw, diff * diff)
     return float(np.sqrt(total))

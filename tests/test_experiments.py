@@ -471,7 +471,7 @@ def _steps(ops):
         steps.append((tab, experiments._telegraph_action(system, tab),
                       lambda t: experiments._telegraph_band(ops, t)))
         steps.append((tab, lambda u, h, tab=tab: explicit_limit_step(L, tab, u, h),
-                      lambda t: experiments._heat_band(ops, L, t)))
+                      lambda t: experiments._heat_band(L, t)))
     return steps
 
 
@@ -1282,7 +1282,7 @@ def test_sbp_check_loads_no_random_generator(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "convergence --p 0 --cells 8 --cells 16 --alphas 0.3 --tfinal 0",
-    "asymptotic --p 0 --cells 8 --alphas 0.3 --tfinal 0",
+    "asymptotic --p 0 --cells 8 --alphas 0.3 --tfinal 0.1",
     "condition --p 0 --cells 8 --alphas 0.3",
     "heat-implicit --cells 8 --alphas 0.3 --tfinal 0",
     "sbp-check --p 0 --cells 8 --alphas 0.3",
@@ -1379,6 +1379,15 @@ def test_cli_rejects_negative_tfinal(capsys):
                   "--epsilon", "1e-1", "--alphas", "0.3", "--tfinal", "-0.1"])
     assert exc.value.code == 2
     assert "--tfinal: must be a finite time >= 0" in capsys.readouterr().err
+
+
+def test_cli_asymptotic_rejects_tfinal_zero(capsys):
+    # at t = 0 the telegraph and heat states are the same projection, so
+    # every diff_l2 is 0 and no difference can fall as eps falls
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["asymptotic", "--p", "0", "--cells", "8", "--tfinal", "0"])
+    assert exc.value.code == 2
+    assert "--tfinal: must be finite and > 0" in capsys.readouterr().err
 
 
 def test_cli_convergence_rejects_a_single_cell_count(capsys):

@@ -46,6 +46,13 @@ from cutdg.sbp_verify import DISSIPATION_TOL, DUALITY_TOL, check_upwind_sbp
 FLUX = {UPWIND: (1.0, 0.0), DOWNWIND: (0.0, 1.0), CENTRAL: (0.5, 0.5)}
 
 
+def cell_dofs(space, i):
+    """Global dof slice of cell i (periodic index)."""
+    i = i % space.mesh.n_cells
+    k = space.nodes_per_cell
+    return slice(i * k, (i + 1) * k)
+
+
 def cell_center(space, i):
     mesh = space.mesh
     return 0.5 * (mesh.vertices[i] + mesh.vertices[i + 1])
@@ -99,10 +106,10 @@ def oracle_background(space, kind):
         jump = np.zeros(space.n_dofs)
         ti = trace_value(space, polys, i, x)
         tp = trace_value(space, polys, ip, x)
-        flux[space.dofs(i)] += ha * ti
-        flux[space.dofs(ip)] += hb * tp
-        jump[space.dofs(i)] += ti
-        jump[space.dofs(ip)] -= tp
+        flux[cell_dofs(space, i)] += ha * ti
+        flux[cell_dofs(space, ip)] += hb * tp
+        jump[cell_dofs(space, i)] += ti
+        jump[cell_dofs(space, ip)] -= tp
         B += np.outer(jump, flux)
     return B
 
@@ -117,7 +124,7 @@ def oracle_dod_flux(space, c, kind, eta_c):
 
     def trace_row(cell, x):
         row = np.zeros(space.n_dofs)
-        row[space.dofs(cell)] = trace_value(space, polys, cell, x)
+        row[cell_dofs(space, cell)] = trace_value(space, polys, cell, x)
         return row
 
     xl, xr = mesh.vertices[c], mesh.vertices[c + 1]
@@ -273,7 +280,7 @@ def local_block_error(space, c, block, oracle):
     (c-1, c, c+1), against its dense oracle, which must be exactly zero
     outside the block."""
     n = space.mesh.n_cells
-    dofs = np.r_[tuple(space.dofs(j % n) for j in (c - 1, c, c + 1))]
+    dofs = np.r_[tuple(cell_dofs(space, j % n) for j in (c - 1, c, c + 1))]
     outside = np.ones(oracle.shape, dtype=bool)
     outside[np.ix_(dofs, dofs)] = False
     assert not np.any(oracle[outside])
@@ -313,19 +320,20 @@ def loop_background(space, kind):
     B = np.zeros((space.n_dofs, space.n_dofs))
     vol = -(np.diag(space.ref_weights) @ space.ref_diff).T
     for i in range(n):
-        B[space.dofs(i), space.dofs(i)] += vol
+        B[cell_dofs(space, i), cell_dofs(space, i)] += vol
     for i in range(n):
         ip = (i + 1) % n
         for a, r in ((i, right), (ip, -left)):
             for b, col in ((i, ha * right), (ip, hb * left)):
-                B[space.dofs(a), space.dofs(b)] += 1.0 * np.outer(r, col)
+                B[cell_dofs(space, a), cell_dofs(space, b)] += 1.0 * np.outer(r, col)
     return B
 
 
 def loop_mass_diagonal(space):
     diag = np.empty(space.n_dofs)
     for i in range(space.mesh.n_cells):
-        diag[space.dofs(i)] = space.cell_weights(i)
+        diag[cell_dofs(space, i)] = (
+            space.ref_weights * (space.mesh.cell_sizes[i] / 2.0))
     return diag
 
 
@@ -616,7 +624,7 @@ def test_operators_differentiate_polynomials_around_a_cut(p, alpha):
     (c,) = mesh.small_cells
     ops = operator_pair(space, "mp")
     x = space.nodes.reshape(-1) - cell_center(space, c)
-    rows = np.r_[tuple(space.dofs(j) for j in range(c - 2, c + 3))]
+    rows = np.r_[tuple(cell_dofs(space, j) for j in range(c - 2, c + 3))]
     # the pair's error is the roundoff ridge 32 eps max|M Dz| divided by
     # the small cell's mass, ~32 eps / alpha of max|D| (7.1e-8 at
     # alpha = 1e-7); Dz's is at most 5.3e-9 there. 1e-13 / alpha sits 14x
@@ -758,7 +766,7 @@ def test_band_sums_the_local_blocks_that_alias(cells):
     for c in (0, 2):
         block = rng.standard_normal((3 * k, 3 * k))
         _add_local(band, c, block)
-        dofs = np.r_[tuple(space.dofs(j % cells) for j in (c - 1, c, c + 1))]
+        dofs = np.r_[tuple(cell_dofs(space, j % cells) for j in (c - 1, c, c + 1))]
         want[np.ix_(dofs, dofs)] += block
     assert np.array_equal(band.dense(), want)
     x = rng.standard_normal((n, 2))

@@ -37,6 +37,7 @@ from cutdg.sbp_verify import (
 from test_operators import (
     PAIR_MESHES,
     as_band,
+    cell_dofs,
     check_p0_closed_form,
     dense_dissipation_eig,
     p0_closed_form,
@@ -191,7 +192,7 @@ def test_window_eigenvalues_match_the_dense_window_blocks(mesh, p, flip):
     left, right = space.basis_at_ref([-1.0, 1.0])
     k = space.nodes_per_cell
     for window, got in zip(cert.windows, cert.window_min_eigs):
-        dofs = np.r_[tuple(space.dofs(c) for c in window)]
+        dofs = np.r_[tuple(cell_dofs(space, c) for c in window)]
         P = S[np.ix_(dofs, dofs)]
         P[:k, :k] -= 0.5 * np.outer(left, left)
         P[-k:, -k:] -= 0.5 * np.outer(right, right)
