@@ -32,9 +32,8 @@ from .operators import (
     assemble_stabilized,
     mass_diagonal,
     default_eta,
-    UPWIND,
-    DOWNWIND,
-    CENTRAL,
+    FLUX_COEFFS,
+    PAIRINGS,
     PAIR_TOL,
     sbp_residual,
     _band_columns,
@@ -499,20 +498,6 @@ def weighted_condition_number(A, M):
     return float(np.linalg.cond(sq[:, None] * A / sq[None, :]))
 
 
-# (rho, gt) pairs of flux kind and volume weights (L_c, R_c) of the
-# flow-weighted pair the condition study assembles for every variant: the
-# classic flow-based redistribution, which reproduces the reference "dod"
-# values (operator_pair's symmetrized pair gives a kappa up to 20% larger,
-# p = 2, N = 128) and breaks the dual pair on a stabilized cell for p >= 1.
-# With no stabilized cell it is the plain upwind pair, already dual
-# (Mattsson, J. Comput. Phys. 335, 2017), and "central" is bitwise Dz
-_CONDITION_FLOW_KINDS = {
-    "mp": ((UPWIND, (1.0, 0.0)), (DOWNWIND, (0.0, 1.0))),
-    "pm": ((DOWNWIND, (0.0, 1.0)), (UPWIND, (1.0, 0.0))),
-    "central": ((CENTRAL, (0.5, 0.5)), (CENTRAL, (0.5, 0.5))),
-}
-
-
 # bound on a "gram" row's relative error n u kappa^2 (u the machine
 # epsilon; lambda_min is good to ~ n u lambda_max): above it, the SVD
 GRAM_RTOL = 1e-8
@@ -543,9 +528,13 @@ def _symbol_norm(blocks):
 
 
 def _condition_kappa(n_bg, p, pairing, variant, alphas):
-    """Weighted condition number of A = I - dt D^rho D^gt for the
-    flow-weighted pair of _CONDITION_FLOW_KINDS[pairing] on one variant's
-    space; returns (kappa, record), the record naming how kappa was found.
+    """Weighted condition number of A = I - dt D^rho D^gt on one variant's
+    space, each field of PAIRINGS[pairing] assembled with the flow weights
+    (L_c, R_c) = FLUX_COEFFS[kind] of its kind; returns (kappa, record),
+    the record naming how kappa was found. The flow weights reproduce the
+    acceptance tests' TABLE_KAPPA (the symmetrized pair's kappa is up to
+    20% larger at p = 2); on a stabilized cell the pair is not dual for
+    p >= 1.
 
     A dual pair, M D^rho = -(M D^gt)^T, gives M L = -(D^gt)^T M D^gt for
     L = D^rho D^gt, so A is symmetric positive definite in the M inner
@@ -556,14 +545,15 @@ def _condition_kappa(n_bg, p, pairing, variant, alphas):
     (2 reach + 1) k d relative), else from the Gram band B^T B. The pair
     counts as dual when its residual passes PAIR_TOL on the scale
     max(|M D^gt|, 1), the test symmetrize_upwind_pair applies; any other
-    pair (the flow-weighted "mp" pair on a stabilized cell, p >= 1) takes
+    pair (an upwind pairing on a stabilized cell, p >= 1) takes
     sqrt(lambda_max / lambda_min) of X^T X, X = M^1/2 A M^-1/2, or A's SVD
     above GRAM_RTOL. Only the Gram matrices and an SVD row's A are dense.
     """
     space, eta = _variant_space(n_bg, p, alphas, variant)
-    rho, gt = _CONDITION_FLOW_KINDS[pairing]
-    d_rho = assemble_stabilized(space, rho[0], eta, rho[1])
-    d_gt = d_rho if gt == rho else assemble_stabilized(space, gt[0], eta, gt[1])
+    rho, gt = PAIRINGS[pairing]
+    d_rho = assemble_stabilized(space, rho, eta, FLUX_COEFFS[rho])
+    d_gt = d_rho if gt == rho else assemble_stabilized(space, gt, eta,
+                                                       FLUX_COEFFS[gt])
     m = mass_diagonal(space)
     dt = parabolic_dt(space.mesh.background_dx, p)
     residual = sbp_residual(m, d_rho, d_gt)
@@ -599,10 +589,12 @@ def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
                   cells=128, alphas=CONDITION_ALPHAS) -> ResultTable:
     """Weighted condition numbers of I - dt L for the scheme variants.
 
-    A dual pair's kappa comes from its closed form ("symbol" with no small
-    cell, else "closed_form"), any other pair's from a Gram eigensolve or
-    the SVD (_condition_kappa); metadata["kappa"] holds one record per row:
-    its p, pairing, variant and method, the duality residual
+    L = D^rho D^gt takes each field's flux kind from PAIRINGS and its flow
+    weights from that kind's flux coefficients, FLUX_COEFFS. A dual pair's
+    kappa comes from its closed form ("symbol" with no small cell, else
+    "closed_form"), any other pair's from a Gram eigensolve or the SVD
+    (_condition_kappa); metadata["kappa"] holds one record per row: its p,
+    pairing, variant and method, the duality residual
     max|M D^rho + (M D^gt)^T|, dgt_norm_m = ||M^1/2 D^gt M^-1/2||_2 (None
     for a non-dual row), and a "symbol" row's circulant_deviation or a
     "gram" or "svd" row's gram_error_bound.

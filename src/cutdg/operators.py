@@ -34,17 +34,19 @@ small-cell forms evaluate the neighbor polynomials extended into the small
 cell by DGSpace.basis_at, which takes the periodic image nearest each
 neighbor, and weigh the small cell's quadrature by mass_diagonal.
 
-assemble_stabilized builds the stabilized derivative of one flux kind,
-background plus small-cell corrections, directly as defined; with central
-fluxes it is already skew-symmetric under M (periodic SBP). operator_pair
-builds the upwind pair D^+/- = Dz -/+ M^{-1} S for every degree, which is
-dual and dissipative: the diagonal-norm upwind SBP form of Mattsson
-(J. Comput. Phys. 335, 2017). The stabilized upwind operator D^- is not
-assembled. split_dissipation splits its m-form into the central m-form
-Bz = M Dz and the dissipation S = sym(M (D^- - Dz)), and builds S from its
-local pieces: a block-circulant background part and one symmetric
-3(p+1) x 3(p+1) block per small cell. symmetrize_upwind_pair then forms
-Dz and the pair as new bands, leaving Bz and S as they were.
+A flux kind is its coefficients (H_a, H_b), FLUX_COEFFS, and a pairing is
+the flux kinds of (D^rho, D^gt), PAIRINGS. assemble_stabilized builds the
+stabilized derivative of one flux kind, background plus small-cell
+corrections, directly as defined; with central fluxes it is already
+skew-symmetric under M (periodic SBP). operator_pair builds the upwind pair
+D^+/- = Dz -/+ M^{-1} S for every degree, which is dual and dissipative:
+the diagonal-norm upwind SBP form of Mattsson (J. Comput. Phys. 335,
+2017). The stabilized upwind operator D^- is not assembled.
+split_dissipation splits its m-form into the central m-form Bz = M Dz and
+the dissipation S = sym(M (D^- - Dz)), and builds S from its local pieces:
+a block-circulant background part and one symmetric 3(p+1) x 3(p+1) block
+per small cell. symmetrize_upwind_pair then forms Dz and the pair as new
+bands, leaving Bz and S as they were.
 Every form is affine in the flux coefficients (H_a, H_b), which sum to 1,
 so the stabilized downwind operator is 2 Dz - D^- up to roundoff and is not
 assembled either. At p = 0 the stabilized pair is already dual, and the
@@ -61,6 +63,11 @@ from .dg_space import DGSpace
 UPWIND = "-"
 DOWNWIND = "+"
 CENTRAL = "z"
+# flux coefficients (H_a, H_b) of each flux kind: H(a, b) = H_a a + H_b b
+FLUX_COEFFS = {UPWIND: (1.0, 0.0), DOWNWIND: (0.0, 1.0), CENTRAL: (0.5, 0.5)}
+# flux kinds of (D^rho, D^gt) for each pairing
+PAIRINGS = {"mp": (UPWIND, DOWNWIND), "pm": (DOWNWIND, UPWIND),
+            "central": (CENTRAL, CENTRAL)}
 
 # Per-cell stabilization strength: eta_c = 1 - alpha / lambda(p).
 LAMBDA_C = {0: 1.0, 1: 0.55}
@@ -176,13 +183,9 @@ def default_eta(space: DGSpace):
 
 def _flux_coeffs(kind):
     """Constant partial derivatives (d/da, d/db) of the linear flux H(a, b)."""
-    if kind == UPWIND:
-        return 1.0, 0.0
-    if kind == DOWNWIND:
-        return 0.0, 1.0
-    if kind == CENTRAL:
-        return 0.5, 0.5
-    raise ValueError(f"unknown flux kind {kind!r}")
+    if kind not in FLUX_COEFFS:
+        raise ValueError(f"unknown flux kind {kind!r}")
+    return FLUX_COEFFS[kind]
 
 
 def mass_diagonal(space: DGSpace):
@@ -365,7 +368,7 @@ def interface_dissipation(space):
     cell on its right. They are the difference of the upwind and central
     interface blocks, flux coefficients (1/2, -1/2); each entry is a product
     of two traces halved, so the term is exactly symmetric."""
-    (ha_up, hb_up), (ha_z, hb_z) = _flux_coeffs(UPWIND), _flux_coeffs(CENTRAL)
+    (ha_up, hb_up), (ha_z, hb_z) = FLUX_COEFFS[UPWIND], FLUX_COEFFS[CENTRAL]
     return _interface_blocks(space, ha_up - ha_z, hb_up - hb_z)
 
 
@@ -424,15 +427,6 @@ def sbp_residual(mass_diag, a, b):
     return float(np.max(np.abs(_mform_sum(mass_diag, a, b))))
 
 
-def dissipation_blocks(mass_diag, diff):
-    """Blocks of -1/2 sym(M A) for the band A = D^+ - D^-, in the layout of
-    _mform_sum. It is S plus the ridge for a pair that
-    symmetrize_upwind_pair formed, as the stored pair gives it back: each
-    entry is -1/4 (m_i A_ij + m_j A_ji), the n x n entry of sym(M A) scaled
-    exactly by -1/2, and it is exactly symmetric."""
-    return -0.25 * _mform_sum(mass_diag, diff, diff)
-
-
 def symmetrize_upwind_pair(bz, s, mass_diag):
     """The symmetrized upwind pair D^{+/-,symm} = Dz -/+ M^{-1} S; returns
     the new bands (Dz, D^+, D^-) and leaves bz and s unchanged.
@@ -465,9 +459,6 @@ def symmetrize_upwind_pair(bz, s, mass_diag):
     return dz, dp, dm
 
 
-PAIRINGS = ("mp", "pm", "central")
-
-
 @dataclass(frozen=True)
 class OperatorSet:
     """Assembled operators for one space/eta configuration, as bands.
@@ -492,32 +483,29 @@ def operator_pair(space, pairing, eta=None):
 
     Every degree takes the symmetrized pair (Dp_symm, Dm_symm) built from
     the stabilized central m-form and the local dissipation S of
-    split_dissipation; "mp" and "pm" select it in either order, and
-    "central" takes Dz for both equations. D^+ - D^- is formed once, for
-    the drift term. Every operator is a band, and no n x n array is formed.
+    split_dissipation. PAIRINGS[pairing] names each field's flux kind: an
+    upwind field takes D^-, a downwind one D^+ and a central one Dz, so
+    "mp" and "pm" take the pair in either order and "central" takes Dz for
+    both equations. D^+ - D^- is formed once, for the drift term. Every
+    operator is a band, and no n x n array is formed.
     """
     if pairing not in PAIRINGS:
-        raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
+        raise ValueError(
+            f"pairing must be one of {tuple(PAIRINGS)}, got {pairing!r}")
     if eta is None:
         eta = default_eta(space)
     mdiag = mass_diagonal(space)
     dz, dp_symm, dm_symm = symmetrize_upwind_pair(
         *split_dissipation(space, eta), mdiag)
-
-    if pairing == "mp":
-        d_rho, d_gt = dm_symm, dp_symm
-    elif pairing == "pm":
-        d_rho, d_gt = dp_symm, dm_symm
-    else:
-        d_rho = d_gt = dz
-
+    by_kind = {UPWIND: dm_symm, DOWNWIND: dp_symm, CENTRAL: dz}
+    rho, gt = PAIRINGS[pairing]
     return OperatorSet(
         space=space,
         mass_diag=mdiag,
         Dz=dz,
         Dp_symm=dp_symm,
         Dm_symm=dm_symm,
-        d_rho=d_rho,
-        d_gt=d_gt,
+        d_rho=by_kind[rho],
+        d_gt=by_kind[gt],
         d_diff=BlockBand(dp_symm.blocks - dm_symm.blocks),
     )

@@ -24,7 +24,6 @@ from .operators import (
     OperatorSet,
     _band_columns,
     _mform_sum,
-    dissipation_blocks,
     interface_dissipation,
     sbp_residual,
 )
@@ -122,8 +121,8 @@ def check_upwind_sbp(space, M, Dp, Dm):
     for (Dp, Dm) to form a periodic upwind SBP pair.
 
     The bound is Weyl's inequality on X = sym(M (Dp - Dm)), read from its
-    blocks, with no n x n matrix and no dense eigensolve. S = -X/2
-    (operators.dissipation_blocks) is split as
+    blocks, with no n x n matrix and no dense eigensolve. S = -X/2, read
+    from the blocks of operators._mform_sum, is split as
 
         S = sum over windows W of P_W  +  T_rest  +  R.
 
@@ -153,7 +152,9 @@ def check_upwind_sbp(space, M, Dp, Dm):
 
 def _dissipation_certificate(space, m, diff):
     """check_upwind_sbp's certificate for the band diff = D+ - D-."""
-    s = dissipation_blocks(m, diff)
+    # each entry is -1/4 (m_i A_ij + m_j A_ji) for A = diff, the n x n
+    # entry of sym(M A) scaled exactly by -1/2, so s is exactly symmetric
+    s = -0.25 * _mform_sum(m, diff, diff)
     cells, width, k, _ = s.shape
     mid = width // 2
     rr, rl, lr, ll = interface_dissipation(space)

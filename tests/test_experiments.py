@@ -14,9 +14,10 @@ import pytest
 import cutdg
 from cutdg.mesh import build_cut_cell_mesh, evenly_spaced_cuts
 from cutdg.dg_space import build_space, l2_norm_of_vector, project
-from cutdg.operators import (CENTRAL, PAIR_TOL, PAIRINGS, UPWIND, BlockBand,
-                             assemble_stabilized, default_eta, mass_diagonal,
-                             operator_pair, sbp_residual)
+from cutdg.operators import (CENTRAL, DOWNWIND, FLUX_COEFFS, PAIR_TOL,
+                             PAIRINGS, UPWIND, BlockBand, assemble_stabilized,
+                             default_eta, mass_diagonal, operator_pair,
+                             sbp_residual)
 from cutdg.models import (decay_rate, heat_system, telegraph_system,
                           well_prepared_init)
 from cutdg.time_integration import (
@@ -873,14 +874,54 @@ def test_run_condition_assembles_each_central_operator_once(monkeypatch):
     assert len(table.rows) == 6 and len(calls) == 3 * 2 + 3 * 1
 
 
+# (rho, gt) pairs of flux kind and volume weights (L_c, R_c) of the
+# flow-weighted pair of each condition row, written out as an oracle
+CONDITION_FLOW_KINDS = {
+    "mp": ((UPWIND, (1.0, 0.0)), (DOWNWIND, (0.0, 1.0))),
+    "pm": ((DOWNWIND, (0.0, 1.0)), (UPWIND, (1.0, 0.0))),
+    "central": ((CENTRAL, (0.5, 0.5)), (CENTRAL, (0.5, 0.5))),
+}
+
+
+def test_condition_flow_weights_are_the_flux_coefficients():
+    assert set(CONDITION_FLOW_KINDS) == set(PAIRINGS)
+    for pairing, pair in CONDITION_FLOW_KINDS.items():
+        assert PAIRINGS[pairing] == tuple(kind for kind, _ in pair)
+        for kind, weights in pair:
+            assert FLUX_COEFFS[kind] == weights
+
+
 def _condition_pair(p, pairing, variant, cells=128,
                     alphas=experiments.CONDITION_ALPHAS):
     """(D^rho, D^gt, M, dt) of one condition row, assembled afresh."""
     space, eta = experiments._variant_space(cells, p, alphas, variant)
     d_rho, d_gt = (assemble_stabilized(space, kind, eta, weights) for
-                   kind, weights in experiments._CONDITION_FLOW_KINDS[pairing])
+                   kind, weights in CONDITION_FLOW_KINDS[pairing])
     return d_rho, d_gt, mass_diagonal(space), parabolic_dt(
         space.mesh.background_dx, p)
+
+
+def test_run_condition_swapping_a_pairing_leaves_every_dual_kappa():
+    # for a dual pair M^1/2 D^+ M^-1/2 = -(M^1/2 D^- M^-1/2)^T, so "pm"
+    # has the singular values, and the kappa, of "mp" (measured: at most
+    # 1.1e-15 relative); the non-dual p >= 1 "dod" pairs differ (1.7e-3
+    # and 7.4e-2 relative)
+    table = run_condition(pairings=("mp", "pm"))
+    rows = {(r["p"], r["pairing"], r["variant"]): (row["kappa"], r["method"])
+            for row, r in zip(table.rows, table.metadata["kappa"])}
+    for (p, pairing, variant), (kappa, method) in rows.items():
+        if pairing != "mp":
+            continue
+        swapped, swapped_method = rows[p, "pm", variant]
+        assert swapped_method == method
+        if method in ("symbol", "closed_form"):
+            space, _ = experiments._variant_space(
+                128, p, experiments.CONDITION_ALPHAS, variant)
+            assert swapped == pytest.approx(
+                kappa, rel=space.n_dofs * np.finfo(float).eps, abs=0)
+        else:
+            assert (method, variant) == ("gram", "dod") and p >= 1
+            assert abs(swapped - kappa) > 1e-4 * kappa
 
 
 def _svd_kappa(d_rho, d_gt, m, dt):
@@ -1077,6 +1118,20 @@ def test_run_heat_implicit_profiles_and_decay():
     dod_rows = [r for r in table.rows if r["variant"] == "dod"]
     assert max(r["max_abs_rho"] for r in dod_rows) <= 1.0 + 1e-6
     assert set(table.metadata["final_profiles"]) == variants
+
+
+@pytest.mark.parametrize("case", [
+    dict(cells=5, alphas=(0.1, 0.2), t_final=0.1), SMALL_HEAT_IMPLICIT,
+], ids=["cells5", "small"])
+def test_run_heat_implicit_norm_falls_at_every_step(case):
+    # the midpoint step contracts the M-norm (measured per-step change at
+    # most -1.6e-2 and -5.2e-3 relative), although the max-norm is not
+    # bounded: the cells=5 case's "dod" max|rho| reaches 1.002
+    table = run_heat_implicit(**case)
+    for variant in experiments.VARIANTS:
+        norms = [r["norm_rho"] for r in table.rows if r["variant"] == variant]
+        assert len(norms) > 2
+        assert all(b < a for a, b in zip(norms, norms[1:])), (variant, norms)
 
 
 # dt of SMALL_HEAT_IMPLICIT: background dx / (10 (2p + 1))
