@@ -2,9 +2,10 @@
 
 Subcommands: convergence, asymptotic, condition, heat-implicit, sbp-check.
 Each takes the flags its study reads plus --out, --format and --seed,
-runs its study, writes/prints the result table, checks the study's own
-assertions, and exits non-zero if any fails. --seed is part of the call
-convention, like --out and --format; no study reads it.
+runs its study, writes/prints the result table, prints the failures of
+the study's check (experiments.check_*), and exits non-zero if there are
+any. --seed is part of the call convention, like --out and --format; no
+study reads it.
 """
 
 import argparse
@@ -14,6 +15,11 @@ import numpy as np
 
 from .experiments import (
     C_PRE,
+    check_asymptotic,
+    check_condition,
+    check_convergence,
+    check_heat_implicit,
+    check_sbp,
     run_convergence,
     run_asymptotic,
     run_condition,
@@ -74,93 +80,10 @@ def _flag(flag, keyword, arity, **options):
     return flag, keyword, arity, options
 
 
-def _check_convergence(table):
-    config = table.metadata["config"]
-    failures = []
-    for pairing in config["pairings"]:
-        if pairing == "central":
-            continue  # recorded only; the central pairing can lose an order
-        for p in config["degrees"]:
-            for eps in config["epsilons"]:
-                rows = [r for r in table.rows
-                        if r["pairing"] == pairing and r["p"] == p
-                        and r["epsilon"] == eps]
-                eoc = rows[-1]["eoc_rho"]
-                if not eoc >= p + 0.8:
-                    failures.append(
-                        f"EOC {eoc:.3f} < {p + 0.8} for pairing={pairing} "
-                        f"p={p} eps={eps:g}"
-                    )
-    return failures
-
-
-def _check_asymptotic(table):
-    failures = []
-    keys = {(r["tableau"], r["p"]) for r in table.rows}
-    for key in sorted(keys):
-        # the flags may give the epsilons in any order
-        rows = sorted((r for r in table.rows if (r["tableau"], r["p"]) == key),
-                      key=lambda r: -r["epsilon"])
-        diffs = [r["diff_l2"] for r in rows]
-        # a nan compares false, so it would pass the monotone check
-        if not np.all(np.isfinite(diffs)):
-            failures.append(f"difference not finite for tableau={key[0]} p={key[1]}")
-        elif any(b >= a for a, b in zip(diffs, diffs[1:])):
-            failures.append(f"difference not monotone for tableau={key[0]} p={key[1]}")
-    return failures
-
-
-def _check_condition(table):
-    failures = []
-    for r in table.rows:
-        if r["variant"] == "dod" and not r["kappa"] <= 100.0:
-            failures.append(f"stabilized kappa {r['kappa']:.3g} too large (p={r['p']})")
-        if r["variant"] == "unstabilized" and not r["kappa"] >= 1e3:
-            failures.append(
-                f"unstabilized kappa {r['kappa']:.3g} unexpectedly small (p={r['p']})"
-            )
-    return failures
-
-
-def _check_heat_implicit(table):
-    failures = []
-    variant, status = table.column("variant"), table.column("status")
-    peak, norm = table.column("max_abs_rho"), table.column("norm_rho")
-    # the unstabilized variant is left alone: its blow-up is the expected
-    # clause of the study
-    for name in ("background", "dod"):
-        (bad,) = np.nonzero((variant == name)
-                            & ~((status == "ok") & np.isfinite(peak)))
-        if bad.size:
-            i = bad[0]
-            failures.append(
-                f"{name}: {bad.size} rows overflowed or not finite, first"
-                f" at t = {table.column('t')[i]:.6g} (status {str(status[i])!r},"
-                f" max|rho| = {peak[i]:.6g})")
-    # fmax skips a nan, which the finiteness check above has already failed
-    dod_max = np.fmax.reduce(peak[variant == "dod"])
-    if not dod_max <= 1.0 + 1e-6:
-        failures.append(f"stabilized max|rho| = {dod_max:.6g} exceeds 1")
-    (bg,) = np.nonzero(variant == "background")
-    decay = norm[bg[-1]] / norm[bg[0]]
-    expected = np.exp(-table.metadata["config"]["t_final"])
-    if not abs(decay / expected - 1.0) <= 0.05:
-        failures.append(f"background decay {decay:.4g} off e^-T by more than 5%")
-    return failures
-
-
-def _check_sbp(table):
-    return [
-        f"residuals too large for p={r['p']} alpha={r['alpha']:g} eta={r['eta']:g}"
-        for r in table.rows
-        if not r["passed"]
-    ]
-
-
 # study: (runner, checker, the flags it takes); the parser is built from
 # these, so a flag a study does not read is an argparse error
 _RUNNERS = {
-    "convergence": (run_convergence, _check_convergence, (
+    "convergence": (run_convergence, check_convergence, (
         # the hyperbolic step has a pre-factor for these degrees only
         _flag("p", "degrees", _MANY, type=int, choices=sorted(C_PRE)),
         _flag("pairing", "pairings", _MANY),
@@ -168,21 +91,21 @@ _RUNNERS = {
               help="relaxation parameter in (0, 1/2]"),
         _flag("cells", "cells", _MANY), _flag("alphas", "alphas", _ONE),
         _flag("tfinal", "t_final", _ONE), _flag("tableau", "tableau", _ONE))),
-    "asymptotic": (run_asymptotic, _check_asymptotic, (
+    "asymptotic": (run_asymptotic, check_asymptotic, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairing", _ONE),
         _flag("epsilon", "epsilons", _MANY), _flag("cells", "cells", _ONE),
         _flag("alphas", "alphas", _ONE),
         # at t = 0 every telegraph-heat difference the check compares is 0
         _flag("tfinal", "t_final", _ONE, type=_positive, help="final time > 0"),
         _flag("tableau", "tableaux", _MANY))),
-    "condition": (run_condition, _check_condition, (
+    "condition": (run_condition, check_condition, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
         _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE))),
-    "heat-implicit": (run_heat_implicit, _check_heat_implicit, (
+    "heat-implicit": (run_heat_implicit, check_heat_implicit, (
         _flag("p", "p", _ONE), _flag("pairing", "pairing", _ONE),
         _flag("cells", "cells", _ONE), _flag("alphas", "alphas", _ONE),
         _flag("tfinal", "t_final", _ONE))),
-    "sbp-check": (run_sbp_report, _check_sbp, (
+    "sbp-check": (run_sbp_report, check_sbp, (
         _flag("p", "degrees", _MANY), _flag("pairing", "pairings", _MANY),
         _flag("epsilon", "epsilon", _ONE), _flag("cells", "cells", _ONE),
         _flag("alphas", "alphas", _ONE, type=_small_cut,

@@ -14,6 +14,10 @@ inverse (midpoint_step_matrix). propagate raises the matrix to the step
 count by a planned power (_power_plan) and closes with a shorter step; the
 implicit-heat study records every step, HEAT_BLOCK steps per product with
 a power of its matrix (_midpoint_states).
+
+Each run_* is followed by its check_*(table) -> list[str], the claims the
+study is meant to show: one message per failed case, [] when all hold.
+The command line and the acceptance tests call the same checks.
 """
 
 import platform
@@ -436,6 +440,23 @@ def run_convergence(*, degrees=(0, 1, 2), pairings=("mp",),
     return table
 
 
+def check_convergence(table):
+    """Each (pairing, p, epsilon) case's order over its finest pair of
+    cell counts."""
+    finest = {}
+    for r in table.rows:  # a case's rows run from coarse to fine
+        finest[r["pairing"], r["p"], r["epsilon"]] = r["eoc_rho"]
+    failures = []
+    for (pairing, p, eps), eoc in finest.items():
+        # central is only recorded: the central pairing can lose an order.
+        # EOC >= p + 0.8: the scheme's order p + 1, less a pre-asymptotic
+        # margin; the nan order of an unstable row fails too
+        if pairing != "central" and not eoc >= p + 0.8:
+            failures.append(f"EOC {eoc:.3f} < {p + 0.8} for pairing={pairing}"
+                            f" p={p} eps={eps:g}")
+    return failures
+
+
 def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
                    alphas=CONVERGENCE_ALPHAS,
                    epsilons=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
@@ -486,6 +507,27 @@ def run_asymptotic(*, degrees=(0, 1, 2), pairing="mp", cells=16,
                 table.add(tableau=tab_name, p=p, epsilon=eps, diff_l2=diff,
                           stepper=stepper)
     return table
+
+
+def check_asymptotic(table):
+    """Each (tableau, p) case's telegraph-heat difference as eps falls."""
+    failures = []
+    for tab_name, p in sorted({(r["tableau"], r["p"]) for r in table.rows}):
+        # the epsilons may come in any order
+        rows = sorted((r for r in table.rows
+                       if (r["tableau"], r["p"]) == (tab_name, p)),
+                      key=lambda r: -r["epsilon"])
+        diffs = [r["diff_l2"] for r in rows]
+        case = f"tableau={tab_name} p={p}"
+        # finite: the nan of an unstable step compares false, so the
+        # monotone clause alone would pass it
+        if not np.all(np.isfinite(diffs)):
+            failures.append(f"difference not finite for {case}")
+        # strictly falling as eps falls, with no tolerance: the telegraph
+        # solution tends to its heat limit (asymptotic preservation)
+        elif any(b >= a for a, b in zip(diffs, diffs[1:])):
+            failures.append(f"difference not monotone for {case}")
+    return failures
 
 
 def weighted_condition_number(A, M):
@@ -615,6 +657,24 @@ def run_condition(*, degrees=(0, 1, 2), pairings=("mp", "central"),
     return table
 
 
+def check_condition(table):
+    """Each row's kappa against the conditioning its variant should have."""
+    failures = []
+    for r in table.rows:
+        kappa, case = r["kappa"], f"p={r['p']} pairing={r['pairing']}"
+        # DoD kappa <= 100: stabilization keeps kappa of order one for any
+        # cut fraction; the published rows read 1.01-2.16 at p <= 2. A nan
+        # fails this clause and the next
+        if r["variant"] == "dod" and not kappa <= 100.0:
+            failures.append(f"stabilized kappa {kappa:.3g} too large ({case})")
+        # unstabilized kappa >= 1e3: a small cell makes I - dt L nearly
+        # singular; the published rows read 4e4-8e12
+        if r["variant"] == "unstabilized" and not kappa >= 1e3:
+            failures.append(
+                f"unstabilized kappa {kappa:.3g} unexpectedly small ({case})")
+    return failures
+
+
 # recorded implicit-heat states advanced per matrix product: a power of
 # two, so S^HEAT_BLOCK takes log2(HEAT_BLOCK) = 6 squarings. At N = 128,
 # p = 2 (n = 402, 2 cores) the study runs ~9% faster with 64 than with 32:
@@ -714,6 +774,44 @@ def run_heat_implicit(*, p=1, pairing="mp", cells=32,
     return table
 
 
+def check_heat_implicit(table):
+    """The background and DoD variants' norms and the background decay.
+    The unstabilized variant is left alone: its blow-up is the study's
+    expected clause."""
+    failures = []
+    variant, status, t = (table.column(c) for c in ("variant", "status", "t"))
+    peak, norm = table.column("max_abs_rho"), table.column("norm_rho")
+    for name in ("background", "dod"):
+        rows = variant == name
+        # every state finite and within the study's blow-up norm (status)
+        (bad,) = np.nonzero(rows & ~((status == "ok") & np.isfinite(peak)))
+        if bad.size:
+            i = bad[0]
+            failures.append(
+                f"{name}: {bad.size} rows overflowed or not finite, first"
+                f" at t = {t[i]:.6g} (status {str(status[i])!r},"
+                f" max|rho| = {peak[i]:.6g})")
+        # ||rho||_M never rises: the midpoint step of a dual pair is an
+        # M-norm contraction; 1e-12 relative sits above the n u roundoff of
+        # the norm's sum
+        m = norm[rows]
+        (rise,) = np.nonzero(m[1:] > m[:-1] * (1.0 + 1e-12))
+        if rise.size:
+            k = rise[0]
+            failures.append(
+                f"{name}: ||rho||_M rises in {rise.size} steps, first at"
+                f" t = {t[rows][k + 1]:.6g} by {m[k + 1] / m[k] - 1.0:.3g}"
+                f" relative")
+    (bg,) = np.nonzero(variant == "background")
+    decay = norm[bg[-1]] / norm[bg[0]]
+    expected = np.exp(-table.metadata["config"]["t_final"])
+    # decay e^-T: the cos mode of the heat equation; 5% is about 20 times
+    # the largest deviation measured (2.6e-3, at N = 5)
+    if not abs(decay / expected - 1.0) <= 0.05:
+        failures.append(f"background decay {decay:.4g} off e^-T by more than 5%")
+    return failures
+
+
 def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
                    alphas=(1e-7, 1e-3, 0.3, 0.49), epsilon=1.0) -> ResultTable:
     """Structure residuals and certified bounds over a (p, alpha, eta,
@@ -761,3 +859,12 @@ def run_sbp_report(*, degrees=(0, 1, 2, 3, 4), pairings=("mp",), cells=8,
                         case, coupling=rep.energy_coupling,
                         drift=rep.energy_drift))
     return table
+
+
+def check_sbp(table):
+    """Each (p, alpha, eta, pairing) case's structure residuals."""
+    # passed: skew, duality and dissipation within 1e-11 and the energy
+    # bound within 1e-9 (sbp_verify's *_TOL), roundoff scale at p <= 4
+    return [f"residuals too large for p={r['p']} alpha={r['alpha']:g}"
+            f" eta={r['eta']:g} pairing={r['pairing']}"
+            for r in table.rows if not r["passed"]]

@@ -33,6 +33,9 @@ from cutdg.experiments import (
     _build_case,
     _integrate_telegraph,
     _telegraph_band,
+    check_asymptotic,
+    check_convergence,
+    check_heat_implicit,
     parabolic_dt,
     run_asymptotic,
     run_condition,
@@ -126,12 +129,9 @@ def test_criterion_4_convergence_orders():
                             cells=(16, 32, 64, 128), alphas=CONVERGENCE_ALPHAS,
                             epsilons=(1e-1, 1e-3), t_final=1.0,
                             tableau="ARS443")
-    eocs = {}
-    for p in (0, 1, 2):
-        for eps in (1e-1, 1e-3):
-            rows = [r for r in table.rows if r["p"] == p and r["epsilon"] == eps]
-            eocs[(p, eps)] = rows[-1]["eoc_rho"]
-    ok = all(v >= p + 0.8 for (p, _), v in eocs.items())
+    failures = check_convergence(table)
+    # a case's last row holds its order over the finest pair
+    eocs = {(r["p"], r["epsilon"]): r["eoc_rho"] for r in table.rows}
     # central pairing is recorded without an order assertion
     central = run_convergence(
         degrees=(1,), pairings=("central",), cells=(16, 32, 64, 128),
@@ -139,9 +139,10 @@ def test_criterion_4_convergence_orders():
         tableau="ARS443")
     central_eoc = central.rows[-1]["eoc_rho"]
     summary = ", ".join(f"p={p} eps={e:g}: {v:.2f}" for (p, e), v in eocs.items())
-    report(4, ok, f"EOC over finest pair >= p+0.8 (alternating): {summary};"
-                  f" central p=1 recorded: {central_eoc:.2f}")
-    assert ok
+    report(4, not failures, f"EOC over finest pair (alternating,"
+                            f" check_convergence): {summary}; central p=1"
+                            f" recorded: {central_eoc:.2f}")
+    assert failures == []
 
 
 def test_criterion_5_asymptotic_sweep():
@@ -149,14 +150,8 @@ def test_criterion_5_asymptotic_sweep():
     table = run_asymptotic(degrees=(0, 1, 2), pairing="mp", cells=16,
                            alphas=CONVERGENCE_ALPHAS, epsilons=eps_grid,
                            t_final=0.5, tableaux=("ARS443", "SSP2-332"))
-    monotone = True
-    for tab in ("ARS443", "SSP2-332"):
-        for p in (0, 1, 2):
-            diffs = [r["diff_l2"] for r in table.rows
-                     if r["tableau"] == tab and r["p"] == p]
-            assert len(diffs) == len(eps_grid)
-            if any(b >= a for a, b in zip(diffs, diffs[1:])):
-                monotone = False
+    assert len(table) == 2 * 3 * len(eps_grid)
+    failures = check_asymptotic(table)
     # stability at eps = 1e-10 with the rescaled stepper
     tiny = run_asymptotic(
         degrees=(0, 1, 2), pairing="mp", cells=16, alphas=CONVERGENCE_ALPHAS,
@@ -168,10 +163,11 @@ def test_criterion_5_asymptotic_sweep():
         ratios.append(d[1e-10] / d[1e-6])
         if not d[1e-10] <= 2.0 * d[1e-6]:
             bounded = False
-    ok = monotone and bounded
-    report(5, ok, f"telegraph-vs-heat difference monotone over eps=1e-1..1e-6"
-                  f" (both tableaux, p=0..2): {monotone}; eps=1e-10 /"
-                  f" eps=1e-6 ratios {[f'{r:.2g}' for r in ratios]} (<= 2)")
+    ok = not failures and bounded
+    report(5, ok, f"telegraph-vs-heat difference over eps=1e-1..1e-6 (both"
+                  f" tableaux, p=0..2), check_asymptotic failures: {failures};"
+                  f" eps=1e-10 / eps=1e-6 ratios"
+                  f" {[f'{r:.2g}' for r in ratios]} (<= 2)")
     assert ok
 
 
@@ -252,14 +248,17 @@ def heat_implicit_table():
 
 def test_criterion_8_implicit_heat_stabilized_and_background():
     table = heat_implicit_table()
+    failures = check_heat_implicit(table)
+    # stricter than the check at this mesh: the stabilized max-norm stays
+    # within the initial maximum
     dod_max = max(r["max_abs_rho"] for r in table.rows if r["variant"] == "dod")
-    bg = [r for r in table.rows if r["variant"] == "background"]
-    decay = bg[-1]["norm_rho"] / bg[0]["norm_rho"]
-    rel = abs(decay / np.exp(-5.0) - 1.0)
-    ok = dod_max <= 1.0 + 1e-6 and rel <= 0.05
-    report(8, ok, f"implicit midpoint to T=5: stabilized max|rho|"
-                  f" {dod_max:.8f} (<= 1+1e-6), background decay within"
-                  f" {100 * rel:.2e}% of e^-5 (tol 5%)")
+    bg = [r["norm_rho"] for r in table.rows if r["variant"] == "background"]
+    rel = bg[-1] / bg[0] / np.exp(-5.0) - 1.0
+    ok = not failures and dod_max <= 1.0 + 1e-6
+    report(8, ok, f"implicit midpoint to T=5, check_heat_implicit failures:"
+                  f" {failures}; stabilized max|rho| {dod_max:.8f}"
+                  f" (<= 1+1e-6), background decay {rel:.2e} relative to"
+                  f" e^-5")
     assert ok
 
 

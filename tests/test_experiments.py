@@ -1483,51 +1483,147 @@ def _asymptotic_table(eps_and_diffs):
 
 
 def _heat_implicit_table(dod_last_max_abs_rho, dod_last_status,
-                         unstabilized_last_status="ok"):
-    """Two rows per variant, at t = 0 and t_final = 1, decaying like e^-t
-    except for the last rows given."""
+                         unstabilized_last_status="ok",
+                         dod_norms=(1.0, np.exp(-1.0))):
+    """Rows per variant from t = 0 to t_final = 1, evenly spaced, with norms
+    falling from 1 to e^-1, except for the last rows and DoD norms given."""
     table = ResultTable(columns=("variant", "t", "max_abs_rho", "norm_rho",
                                  "status"),
                         metadata={"config": {"t_final": 1.0}})
-    last = {"background": (np.exp(-1.0), "ok"),
-            "unstabilized": (np.exp(-1.0), unstabilized_last_status),
-            "dod": (dod_last_max_abs_rho, dod_last_status)}
-    for variant, (max_abs, status) in last.items():
-        table.add(variant=variant, t=0.0, max_abs_rho=1.0, norm_rho=1.0,
-                  status="ok")
-        table.add(variant=variant, t=1.0, max_abs_rho=max_abs,
-                  norm_rho=np.exp(-1.0), status=status)
+    falling = (1.0, np.exp(-1.0))
+    last = {"background": (falling, np.exp(-1.0), "ok"),
+            "unstabilized": (falling, np.exp(-1.0), unstabilized_last_status),
+            "dod": (dod_norms, dod_last_max_abs_rho, dod_last_status)}
+    for variant, (norms, max_abs, status) in last.items():
+        table.add_block(variant=variant,
+                        t=np.linspace(0.0, 1.0, len(norms)),
+                        max_abs_rho=[1.0] * (len(norms) - 1) + [max_abs],
+                        norm_rho=list(norms),
+                        status=["ok"] * (len(norms) - 1) + [status])
     return table
 
 
 def test_heat_implicit_check_fails_a_stabilized_overflow():
-    assert cli._check_heat_implicit(_heat_implicit_table(np.exp(-1.0), "ok")) == []
+    assert experiments.check_heat_implicit(
+        _heat_implicit_table(np.exp(-1.0), "ok")) == []
     # the unstabilized blow-up is the study's expected clause
-    assert cli._check_heat_implicit(
+    assert experiments.check_heat_implicit(
         _heat_implicit_table(np.exp(-1.0), "ok", "overflow")) == []
     # max() drops a nan that follows a number, so only the status and a
     # finiteness check see it
-    (failure,) = cli._check_heat_implicit(
+    (failure,) = experiments.check_heat_implicit(
         _heat_implicit_table(float("nan"), "overflow"))
     assert failure.startswith("dod: 1 rows overflowed or not finite")
-    failures = cli._check_heat_implicit(_heat_implicit_table(np.inf, "ok"))
+    failures = experiments.check_heat_implicit(
+        _heat_implicit_table(np.inf, "ok"))
     assert failures[0].startswith("dod: 1 rows overflowed or not finite")
+
+
+def test_heat_implicit_check_holds_the_m_norm_not_the_max_norm():
+    # a max|rho| above the initial maximum, with a falling M-norm, passes:
+    # the midpoint step bounds the M-norm only
+    assert experiments.check_heat_implicit(
+        _heat_implicit_table(1.002, "ok")) == []
+    # a rise within the 1e-12 relative roundoff allowance passes
+    assert experiments.check_heat_implicit(_heat_implicit_table(
+        np.exp(-1.0), "ok",
+        dod_norms=(1.0, 0.8, 0.8 * (1 + 1e-13), np.exp(-1.0)))) == []
+    (failure,) = experiments.check_heat_implicit(_heat_implicit_table(
+        np.exp(-1.0), "ok",
+        dod_norms=(1.0, 0.8, 0.8 * (1 + 1e-9), np.exp(-1.0))))
+    assert failure.startswith("dod: ||rho||_M rises in 1 steps, first at"
+                              " t = 0.666667 by 1e-09")
 
 
 def test_asymptotic_check_orders_by_epsilon_and_fails_a_non_monotone_table():
     monotone = [(1e-2, 1e-4), (1e-1, 1e-2), (1e-3, 1e-6)]
-    assert cli._check_asymptotic(_asymptotic_table(monotone)) == []
+    assert experiments.check_asymptotic(_asymptotic_table(monotone)) == []
     # eps = 1e-2 sits further from the heat limit than eps = 1e-1
     not_monotone = [(1e-2, 1e-1), (1e-1, 1e-2), (1e-3, 1e-6)]
-    (failure,) = cli._check_asymptotic(_asymptotic_table(not_monotone))
+    (failure,) = experiments.check_asymptotic(_asymptotic_table(not_monotone))
     assert "not monotone for tableau=ARS443 p=1" in failure
 
 
 def test_asymptotic_check_fails_a_nan_difference():
     # nan >= x is false, so a monotone check alone would pass this table
     with_nan = [(1e-1, 1e-2), (1e-2, float("nan")), (1e-3, 1e-6)]
-    (failure,) = cli._check_asymptotic(_asymptotic_table(with_nan))
+    (failure,) = experiments.check_asymptotic(_asymptotic_table(with_nan))
     assert "not finite for tableau=ARS443 p=1" in failure
+
+
+def _convergence_table(finest_eocs):
+    """Two cell counts per (pairing, p, epsilon, finest EOC) case; the
+    coarse row has no order."""
+    table = ResultTable(columns=("pairing", "p", "epsilon", "n_background",
+                                 "dx", "err_rho", "err_gt", "eoc_rho",
+                                 "eoc_gt", "status"))
+    for pairing, p, eps, eoc in finest_eocs:
+        for n, order in ((16, float("nan")), (32, eoc)):
+            table.add(pairing=pairing, p=p, epsilon=eps, n_background=n,
+                      dx=2 * np.pi / n, err_rho=1.0, err_gt=1.0,
+                      eoc_rho=order, eoc_gt=order, status="ok")
+    return table
+
+
+def test_convergence_check_holds_the_finest_order_of_each_case():
+    check = experiments.check_convergence
+    # central is recorded only, however low its order
+    assert check(_convergence_table([("central", 1, 0.1, 0.5)])) == []
+    # at exactly p + 0.8 a case passes, just below it fails
+    assert check(_convergence_table([("mp", 1, 0.1, 1 + 0.8),
+                                     ("pm", 2, 1e-3, 2 + 0.8)])) == []
+    (failure,) = check(_convergence_table([
+        ("mp", 1, 0.1, 1 + 0.8),
+        ("mp", 2, 1e-3, np.nextafter(2 + 0.8, 0.0))]))
+    assert failure == "EOC 2.800 < 2.8 for pairing=mp p=2 eps=0.001"
+    # an unstable finest row has a nan order
+    (failure,) = check(_convergence_table([("mp", 0, 0.1, float("nan"))]))
+    assert failure == "EOC nan < 0.8 for pairing=mp p=0 eps=0.1"
+
+
+def _condition_table(variant_kappas):
+    table = ResultTable(columns=("p", "pairing", "variant", "kappa"))
+    for variant, kappa in variant_kappas:
+        table.add(p=1, pairing="mp", variant=variant, kappa=kappa)
+    return table
+
+
+def test_condition_check_bounds_the_dod_and_unstabilized_kappa():
+    check = experiments.check_condition
+    # background rows are recorded only
+    assert check(_condition_table([("background", np.inf), ("dod", 100.0),
+                                   ("unstabilized", 1e3)])) == []
+    assert check(_condition_table([("dod", np.nextafter(100.0, np.inf))])) == [
+        "stabilized kappa 100 too large (p=1 pairing=mp)"]
+    assert check(_condition_table([("unstabilized", 999.0)])) == [
+        "unstabilized kappa 999 unexpectedly small (p=1 pairing=mp)"]
+    # a nan compares false with both bounds
+    assert check(_condition_table([("dod", float("nan")),
+                                   ("unstabilized", float("nan"))])) == [
+        "stabilized kappa nan too large (p=1 pairing=mp)",
+        "unstabilized kappa nan unexpectedly small (p=1 pairing=mp)"]
+
+
+def test_cli_heat_implicit_passes_a_max_norm_above_the_initial_maximum(capsys):
+    # the "dod" max|rho| reaches 1.002 here while every M-norm falls
+    # (test_run_heat_implicit_norm_falls_at_every_step[cells5])
+    assert cli.main(["heat-implicit", "--cells", "5", "--alphas", "0.1",
+                     "0.2", "--tfinal", "0.1"]) == 0
+    assert "FAIL" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "condition --cells 16 --p 4",
+    "sbp-check --cells 8 --p 5 --pairing mp --pairing central",
+])
+def test_cli_fail_lines_name_the_pairing(argv, capsys):
+    # both calls fail today, one case per pairing (ROADMAP items 2 and 12):
+    # the lines must tell the two cases apart
+    assert cli.main(argv.split()) == 1
+    fails = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FAIL: ")]
+    assert len(fails) == 2 and len(set(fails)) == 2, fails
+    assert all("pairing=" in line for line in fails), fails
 
 
 def test_cli_asymptotic_fails_an_unstable_degree_without_a_traceback(capsys):
